@@ -1,8 +1,8 @@
 """Command-line front end: area, region, analyze, planimeter.
 
 Exit codes: 0 success; 1 the requested single-k selection is
-infeasible; 2 usage or domain error. All file outputs are written
-atomically (temp file in the target directory, then rename).
+infeasible; 2 usage or domain error; 3 internal error. All file outputs
+are written atomically (temp file in the target directory, then rename).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 from . import data, pgm, planimeter, region, relations, selection
 from .errors import FairfeasError
@@ -146,7 +147,7 @@ def cmd_analyze(args) -> int:
         }
     text = json.dumps(report, indent=2)
     if args.out:
-        _atomic_write(args.out, lambda tmp: open(tmp, "w").write(text))
+        _atomic_write(args.out, lambda tmp: Path(tmp).write_text(text))
     print(text)
     if len(k_grid) == 1 and scan.rows[0].constrained_tp is None:
         return 1
@@ -165,17 +166,14 @@ def _family_from_args(args, grid: planimeter.DetectorGrid) -> planimeter.CurveFa
 
 
 def cmd_planimeter(args) -> int:
-    if args.g is not None:
-        g = args.g
-    else:
-        g = planimeter.required_grid_size(args.b, args.err)
+    g = args.g if args.g is not None else planimeter.required_grid_size(args.b, args.err)
     grid = planimeter.DetectorGrid(g=g)
     fam = _family_from_args(args, grid)
     est, mask = planimeter.estimate_area(grid, fam, fill=args.fill)
     os.makedirs(args.out_dir, exist_ok=True)
     _atomic_write(
         os.path.join(args.out_dir, "planimeter.json"),
-        lambda tmp: open(tmp, "w").write(planimeter.estimate_to_json(est, g)),
+        lambda tmp: Path(tmp).write_text(planimeter.estimate_to_json(est, g)),
     )
     _atomic_write(
         os.path.join(args.out_dir, "mask.pgm"),
@@ -238,13 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (FairfeasError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

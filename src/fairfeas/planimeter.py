@@ -15,22 +15,26 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import BadSampleStep, DomainError
 
 FillMode = Literal["below", "above", "curve-only"]
+MAX_G = 4096
 
 
 @dataclass(frozen=True)
 class DetectorGrid:
-    """g x g detector lattice with spacing 1/(g-1) and radius spacing/2."""
+    """g x g detector lattice with spacing 1/(g-1) and radius spacing/2.
+
+    3 <= g <= MAX_G: 2**24 detectors take 256 MiB of float64 coordinates
+    and 16 MiB of mask, so a larger g is rejected before any allocation.
+    """
 
     g: int
 
     def __post_init__(self):
-        if self.g < 3:
-            raise DomainError(f"g must be >= 3, got {self.g}")
+        if not 3 <= self.g <= MAX_G:
+            raise DomainError(f"g must lie in [3, {MAX_G}], got {self.g}")
 
     @property
     def spacing(self) -> float:
@@ -41,10 +45,9 @@ class DetectorGrid:
         return self.spacing / 2.0
 
     def coordinates(self) -> np.ndarray:
-        """(g^2, 2) array of detector positions."""
+        """(g^2, 2) array of detector positions; row ix * g + iy is detector [ix, iy]."""
         axis = np.linspace(0.0, 1.0, self.g)
-        xx, yy = np.meshgrid(axis, axis, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return np.column_stack([np.repeat(axis, self.g), np.tile(axis, self.g)])
 
 
 @dataclass(frozen=True)
@@ -101,24 +104,23 @@ def estimate_area(
     step = r / 2.0 if sample_step is None else sample_step
     if step > r:
         raise BadSampleStep(f"sample_step {step} exceeds detector radius {r}")
-    det = grid.coordinates()
-    satisfied = np.zeros(len(det), dtype=bool)
+    g, h = grid.g, grid.spacing
+    axis = np.linspace(0.0, 1.0, g)
+    det_x, det_y = grid.coordinates().T
+    satisfied = np.zeros(g * g, dtype=bool)
+    reach = math.ceil(r / h) + 1  # a detector within r is <= ceil(r/h) cells away; +1 for rounding
+    offsets = np.arange(-reach, reach + 1)
 
-    xs = np.arange(0.0, 1.0 + step / 2.0, step)
-    xs = np.clip(xs, 0.0, 1.0)
-    det_x = det[:, 0]
-    det_y = det[:, 1]
+    xs = np.clip(np.arange(0.0, 1.0 + step / 2.0, step), 0.0, 1.0)
     for theta in fam.thetas:
         ys = np.asarray(fam.evaluator(xs, theta), dtype=float)
         inside = (ys >= 0.0) & (ys <= 1.0)
-        if inside.any():
-            pts = np.column_stack([xs[inside], ys[inside]])
-            todo = ~satisfied
-            if todo.any():
-                tree = cKDTree(pts)
-                dist, _ = tree.query(det[todo], k=1)
-                hit = dist <= r + 1e-12
-                satisfied[np.flatnonzero(todo)[hit]] = True
+        px, py = xs[inside], ys[inside]
+        ix = np.clip(np.floor(px / h).astype(np.intp)[:, None] + offsets, 0, g - 1)[:, :, None]
+        iy = np.clip(np.floor(py / h).astype(np.intp)[:, None] + offsets, 0, g - 1)[:, None, :]
+        d2 = (axis[ix] - px[:, None, None]) ** 2 + (axis[iy] - py[:, None, None]) ** 2
+        hit = np.sqrt(d2) <= r + 1e-12
+        satisfied[(ix * g + iy)[hit]] = True
         if fill != "curve-only":
             y_at_det = np.asarray(fam.evaluator(det_x, theta), dtype=float)
             if fill == "below":
@@ -131,8 +133,7 @@ def estimate_area(
     count = int(satisfied.sum())
     if circle_area:
         count = int(round(count * math.pi / 4.0))
-    est = PlanimeterEstimate(satisfied=count, total=grid.g**2)
-    return est, satisfied.reshape(grid.g, grid.g)
+    return PlanimeterEstimate(satisfied=count, total=g**2), satisfied.reshape(g, g)
 
 
 def estimate_to_json(est: PlanimeterEstimate, g: int) -> str:

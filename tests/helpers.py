@@ -1,8 +1,9 @@
 """Independent oracles shared by the unit and acceptance tests.
 
 These deliberately avoid the library's own code paths: the triple
-oracle checks the defining relation with exact Fractions, and the
-selection oracle enumerates every C(n, k) item subset.
+oracle checks the defining relation with exact Fractions, the selection
+oracle enumerates every C(n, k) item subset, and the planimeter oracle
+measures every detector against every curve point.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from fairfeas.selection import SelectionInstance
 
@@ -124,3 +127,29 @@ def item_oracle(inst: SelectionInstance) -> int:
         if feasible(tuple(t), tuple(f)):
             best = tp
     return best
+
+
+def brute_force_mask(grid, fam, fill="curve-only", sample_step=None, radius=None):
+    """Planimeter mask, shaped (g, g) and indexed [ix, iy], by brute force.
+
+    Per curve, every detector is compared with every in-square curve
+    point by the same Euclidean test, distance <= r + 1e-12, on the same
+    curve sampling as estimate_area; no lattice neighbourhood is used.
+    """
+    g = grid.g
+    axis = np.linspace(0.0, 1.0, g)
+    r = grid.radius if radius is None else radius
+    step = r / 2.0 if sample_step is None else sample_step
+    xs = np.clip(np.arange(0.0, 1.0 + step / 2.0, step), 0.0, 1.0)
+    satisfied = np.zeros((g, g), dtype=bool)
+    for theta in fam.thetas:
+        ys = np.asarray(fam.evaluator(xs, theta), dtype=float)
+        inside = (ys >= 0.0) & (ys <= 1.0)
+        dx2 = (axis[:, None] - xs[inside]) ** 2  # (g, points)
+        dy2 = (axis[:, None] - ys[inside]) ** 2
+        dist = np.sqrt(dx2[:, None, :] + dy2[None, :, :])  # (g, g, points)
+        satisfied |= (dist <= r + 1e-12).any(axis=2)
+        if fill != "curve-only":
+            y_at = np.asarray(fam.evaluator(axis, theta), dtype=float)[:, None]  # per ix
+            satisfied |= axis <= y_at if fill == "below" else axis >= y_at
+    return satisfied

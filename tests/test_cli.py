@@ -1,9 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import fairfeas
+from fairfeas import selection
 from fairfeas.cli import build_parser, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -103,6 +108,24 @@ def test_planimeter_tiny_grid_rejected(capsys):
     assert "DomainError" in err
 
 
+def test_planimeter_huge_grid_rejected_before_allocation(capsys):
+    # --b 6 --err 1e-9 asks for g = 6e9: a usage error, not a MemoryError
+    code, out, err = run(capsys, "planimeter", "--b", "6", "--err", "1e-9", "--family", "line:y=x")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "DomainError" in err
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(fairfeas.__file__))
+    probe = "import sys, fairfeas.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
 def write_fixture(tmp_path, rows):
     src = tmp_path / "data.csv"
     with open(src, "w", newline="") as fh:
@@ -195,3 +218,43 @@ def test_analyze_sampling_deterministic(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["n"] == 30
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("allocation failed its re-check")
+
+    monkeypatch.setattr(selection, "solve_exact", broken)
+    rows = [["pos", "F", "u"]] * 5 + [["neg", "M", "u"]] * 5
+    src, schema = write_fixture(tmp_path, rows)
+    code, out, err = run(
+        capsys,
+        "analyze", "--csv", str(src), "--schema", str(schema),
+        "--grouping", "sex", "--k-grid", "50",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: AssertionError: allocation failed its re-check\n"
+
+
+def test_file_outputs_closed_before_rename(tmp_path, capsys):
+    rows = [["pos", "F", "u"]] * 5 + [["neg", "F", "u"]] * 5
+    rows += [["pos", "M", "u"]] * 5 + [["neg", "M", "u"]] * 5
+    src, schema = write_fixture(tmp_path, rows)
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        analyze = run(
+            capsys,
+            "analyze", "--csv", str(src), "--schema", str(schema),
+            "--grouping", "sex", "--k-grid", "50", "--out", str(report),
+        )
+        planimeter = run(
+            capsys, "planimeter", "--g", "9", "--family", "line:y=x", "--out-dir", str(tmp_path)
+        )
+    assert analyze[0] == planimeter[0] == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert report.read_text() == analyze[1].rstrip("\n")
+    assert (tmp_path / "planimeter.json").read_text() == (
+        '{"g": 9, "satisfied": 9, "fraction": 0.1111111111111111}'
+    )

@@ -6,6 +6,7 @@ import pytest
 
 from fairfeas.errors import BadSampleStep, DomainError
 from fairfeas.planimeter import (
+    MAX_G,
     CurveFamily,
     DetectorGrid,
     acc_band_family,
@@ -15,6 +16,7 @@ from fairfeas.planimeter import (
     required_grid_size,
 )
 from fairfeas.relations import RegionSpec, fairness_area_acc
+from helpers import brute_force_mask
 
 
 def test_grid_geometry():
@@ -112,3 +114,55 @@ def test_estimate_json_fields():
     assert payload["g"] == 10
     assert payload["satisfied"] == est.satisfied
     assert payload["fraction"] == pytest.approx(est.fraction)
+
+
+MASK_CASES = {
+    # name: grid -> (family, fill, further estimate_area options)
+    "line:y=x": lambda grid: (line_family(1.0, [0.0]), "curve-only", {}),
+    "y=0 fill below": lambda grid: (line_family(0.0, [0.0]), "below", {}),
+    "y=x fill above": lambda grid: (line_family(1.0, [0.0]), "above", {}),
+    "acc-band 0.05": lambda grid: (acc_band_family(0.05, grid.radius), "curve-only", {}),
+    "acc-band 0.25": lambda grid: (acc_band_family(0.25, grid.radius), "curve-only", {}),
+    "acc-band 0.5": lambda grid: (acc_band_family(0.5, grid.radius), "curve-only", {}),
+    "acc-band 1.0": lambda grid: (acc_band_family(1.0, grid.radius), "curve-only", {}),
+    "clipped lines": lambda grid: (line_family(2.0, [-0.5, 0.3]), "below", {}),
+    "outside the square": lambda grid: (
+        CurveFamily(evaluator=lambda x, theta: x + 5.0, thetas=[()]), "curve-only", {}
+    ),
+    "above the square, fill below": lambda grid: (
+        CurveFamily(evaluator=lambda x, theta: np.full_like(x, 5.0), thetas=[()]), "below", {}
+    ),
+    "radius 2.3 x default": lambda grid: (
+        line_family(1.0, [0.0, 0.3]), "curve-only", {"radius": 2.3 * grid.radius}
+    ),
+    "sample step r/3": lambda grid: (
+        line_family(0.5, [0.1, 0.37]), "curve-only", {"sample_step": grid.radius / 3.0}
+    ),
+}
+# the brute-force oracle costs g^2 x points per curve: wide bands only below g=120
+WIDE_BANDS = {"acc-band 0.25", "acc-band 0.5", "acc-band 1.0"}
+
+
+@pytest.mark.parametrize(
+    "case,g",
+    [
+        (case, g)
+        for case in MASK_CASES
+        for g in (3, 9, 40, 120, 121)
+        if g < 120 or case not in WIDE_BANDS
+    ],
+)
+def test_mask_matches_brute_force(case, g):
+    grid = DetectorGrid(g=g)
+    fam, fill, options = MASK_CASES[case](grid)
+    est, mask = estimate_area(grid, fam, fill=fill, **options)
+    expected = brute_force_mask(grid, fam, fill=fill, **options)
+    assert mask.shape == expected.shape == (g, g)
+    assert np.array_equal(mask, expected)
+    assert est.satisfied == int(expected.sum())
+
+
+def test_grid_size_limit_rejected_before_allocation():
+    assert DetectorGrid(g=MAX_G).g == MAX_G  # constructing allocates nothing
+    with pytest.raises(DomainError):
+        DetectorGrid(g=MAX_G + 1)
