@@ -35,17 +35,6 @@ def _atomic_write(path, writer) -> None:
         raise
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("FAIRFEAS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise FairfeasError(f"FAIRFEAS_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise FairfeasError(f"FAIRFEAS_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _parse_k_grid(text: str) -> tuple[int, ...]:
     try:
         grid = tuple(int(part) for part in text.split(","))
@@ -116,7 +105,6 @@ def cmd_analyze(args) -> int:
         cap=args.cap,
         bounds=(args.lb, args.ub),
         k_grid=k_grid,
-        max_workers=_thread_count(),
     )
     report = {
         "n": stats.total,

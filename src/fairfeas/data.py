@@ -12,6 +12,7 @@ import csv
 import json
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -178,6 +179,11 @@ class BracketingReport:
     passed: bool
 
 
+def _exact_spread(stats: CohortStats) -> Fraction:
+    prevs = [Fraction(g.p_count, g.n) for g in stats.groups]
+    return max(prevs) - min(prevs)
+
+
 def intersection_bracketing_check(
     cohort: Cohort, single: GroupingSpec, intersected: GroupingSpec
 ) -> BracketingReport:
@@ -198,19 +204,16 @@ def intersection_bracketing_check(
         parents[intersected.key_for(row, cohort.schema)] = single.key_for(
             row, cohort.schema
         )
-    children: dict[str, list[float]] = {}
+    # rationals: float prevalences and their differences can be off by an ulp
+    children: dict[str, list[Fraction]] = {}
     for g in fine.groups:
-        children.setdefault(parents[g.group_key], []).append(g.prevalence)
+        children.setdefault(parents[g.group_key], []).append(Fraction(g.p_count, g.n))
 
     per_group = {}
     for g in coarse.groups:
         prevs = children[g.group_key]
-        per_group[g.group_key] = min(prevs) - 1e-12 <= g.prevalence <= max(prevs) + 1e-12
-    diff_ok = (
-        coarse.max_prevalence_diff is None
-        or fine.max_prevalence_diff is None
-        or coarse.max_prevalence_diff <= fine.max_prevalence_diff + 1e-12
-    )
+        per_group[g.group_key] = min(prevs) <= Fraction(g.p_count, g.n) <= max(prevs)
+    diff_ok = _exact_spread(coarse) <= _exact_spread(fine)
     return BracketingReport(
         coarse_diff=coarse.max_prevalence_diff,
         intersectional_diff=fine.max_prevalence_diff,

@@ -106,8 +106,8 @@ def estimate_area(
         raise BadSampleStep(f"sample_step {step} exceeds detector radius {r}")
     g, h = grid.g, grid.spacing
     axis = np.linspace(0.0, 1.0, g)
-    det_x, det_y = grid.coordinates().T
     satisfied = np.zeros(g * g, dtype=bool)
+    by_cell = satisfied.reshape(g, g)  # view indexed [ix, iy]
     reach = math.ceil(r / h) + 1  # a detector within r is <= ceil(r/h) cells away; +1 for rounding
     offsets = np.arange(-reach, reach + 1)
 
@@ -122,18 +122,15 @@ def estimate_area(
         hit = np.sqrt(d2) <= r + 1e-12
         satisfied[(ix * g + iy)[hit]] = True
         if fill != "curve-only":
-            y_at_det = np.asarray(fam.evaluator(det_x, theta), dtype=float)
-            if fill == "below":
-                satisfied |= det_y <= y_at_det
-            else:
-                satisfied |= det_y >= y_at_det
+            y_at = np.asarray(fam.evaluator(axis, theta), dtype=float)[:, None]  # per ix
+            by_cell |= axis <= y_at if fill == "below" else axis >= y_at
         if satisfied.all():
             break
 
     count = int(satisfied.sum())
     if circle_area:
         count = int(round(count * math.pi / 4.0))
-    return PlanimeterEstimate(satisfied=count, total=g**2), satisfied.reshape(g, g)
+    return PlanimeterEstimate(satisfied=count, total=g**2), by_cell
 
 
 def estimate_to_json(est: PlanimeterEstimate, g: int) -> str:

@@ -10,13 +10,13 @@ This is the integer form of the relation tying FPR to (p, PPV, FNR):
 alpha/N = (p/N * (1 - v/N) * (1 - beta/N)) / (v/N * (1 - p/N)).
 Enumeration loops (beta, v) and accepts alpha = n/d when the division
 is exact and in range, O(N^2) per prevalence. Joint counting across two
-prevalences uses a 3-D summed-area table over one set's occupancy grid,
-giving O(1) box queries per triple of the other set.
+prevalences compares every cross-set pair of triples directly, O(M1 M2)
+time and memory for sets of M1 and M2 triples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,13 +55,6 @@ class Discretization:
                 raise ValueError(f"{name}={rng} must satisfy 0 <= lo <= hi <= n")
 
 
-@dataclass(frozen=True)
-class FeasibleTriple:
-    alpha_idx: int
-    beta_idx: int
-    v_idx: int
-
-
 @dataclass
 class FeasibleTripleSet:
     """All feasible (alpha, beta, v) index triples for one prevalence index."""
@@ -69,44 +62,9 @@ class FeasibleTripleSet:
     p_idx: int
     disc: Discretization
     triples: np.ndarray  # (M, 3) int array, columns (alpha, beta, v)
-    _prefix: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    def as_triples(self) -> list[FeasibleTriple]:
-        return [FeasibleTriple(int(a), int(b), int(v)) for a, b, v in self.triples]
-
-    def occupancy(self) -> np.ndarray:
-        """Boolean grid over (alpha, beta, v) indices."""
-        n = self.disc.n
-        occ = np.zeros((n + 1, n + 1, n + 1), dtype=bool)
-        if len(self.triples):
-            occ[self.triples[:, 0], self.triples[:, 1], self.triples[:, 2]] = True
-        return occ
-
-    def prefix_table(self) -> np.ndarray:
-        """Summed-area table P with P[i, j, k] = #triples in [0,i) x [0,j) x [0,k)."""
-        if self._prefix is None:
-            n = self.disc.n
-            table = np.zeros((n + 2, n + 2, n + 2), dtype=np.int64)
-            table[1:, 1:, 1:] = self.occupancy().astype(np.int64)
-            for axis in range(3):
-                np.cumsum(table, axis=axis, out=table)
-            self._prefix = table
-        return self._prefix
-
-    def count_box(self, alpha: tuple[int, int], beta: tuple[int, int], v: tuple[int, int]) -> int:
-        """Number of triples within the inclusive index box."""
-        return int(
-            _box_counts(
-                self.prefix_table(),
-                np.array([alpha[0]]), np.array([alpha[1]]),
-                np.array([beta[0]]), np.array([beta[1]]),
-                np.array([v[0]]), np.array([v[1]]),
-                self.disc.n,
-            )[0]
-        )
 
 
 @dataclass(frozen=True)
@@ -163,21 +121,6 @@ def enumerate_triples(p_idx: int, disc: Discretization) -> FeasibleTripleSet:
     return FeasibleTripleSet(p_idx=p_idx, disc=disc, triples=arr)
 
 
-def _box_counts(prefix, a_lo, a_hi, b_lo, b_hi, v_lo, v_hi, n):
-    """Vectorized inclusive box queries against a summed-area table."""
-    a0 = np.clip(a_lo, 0, n + 1)
-    b0 = np.clip(b_lo, 0, n + 1)
-    v0 = np.clip(v_lo, 0, n + 1)
-    a1 = np.clip(a_hi + 1, 0, n + 1)
-    b1 = np.clip(b_hi + 1, 0, n + 1)
-    v1 = np.clip(v_hi + 1, 0, n + 1)
-    return (
-        prefix[a1, b1, v1] - prefix[a0, b1, v1] - prefix[a1, b0, v1] - prefix[a1, b1, v0]
-        + prefix[a0, b0, v1] + prefix[a0, b1, v0] + prefix[a1, b0, v0]
-        - prefix[a0, b0, v0]
-    )
-
-
 def count_joint(
     q: JointCountQuery,
     sets: tuple[FeasibleTripleSet, FeasibleTripleSet],
@@ -190,18 +133,11 @@ def count_joint(
             f"sets have p_idx ({s1.p_idx}, {s2.p_idx}), query wants "
             f"({q.p1_idx}, {q.p2_idx})"
         )
-    if len(s1) == 0 or len(s2) == 0:
-        return 0
-    t = s1.triples
     e = q.eps_max_idx
-    counts = _box_counts(
-        s2.prefix_table(),
-        t[:, 0] - e, t[:, 0] + e,
-        t[:, 1] - e, t[:, 1] + e,
-        t[:, 2] - e, t[:, 2] + e,
-        disc.n,
-    )
-    return int(counts.sum())
+    near = np.ones((len(s1), len(s2)), dtype=bool)
+    for col in range(3):
+        near &= np.abs(s1.triples[:, col, None] - s2.triples[None, :, col]) <= e
+    return int(np.count_nonzero(near))
 
 
 def _restrict_v(s: FeasibleTripleSet, window: tuple[int, int]) -> FeasibleTripleSet:
@@ -246,7 +182,6 @@ def heatmap(
             c = count_joint(q, (sets[p1], sets[p2]), disc)
             counts[i, j] = c
             counts[j, i] = c
-        sets[p2]._prefix = None  # free the table once its column is done
     return PrevalenceHeatmap(
         p_indices=grid, n=disc.n, counts=counts, total=int(counts.sum())
     )

@@ -158,10 +158,10 @@ def _num_interval(
 
     ref is the reference metric value; None (undefined) or den == 0
     (group metric undefined) leaves the numerator unconstrained per the
-    zero-denominator policy.
+    zero-denominator policy, i.e. anywhere in [0, den].
     """
     if ref is None or den == 0:
-        return 0, den if den > 0 else 10**18
+        return 0, den
     lo = _ceil_frac(lb * ref * den)
     hi = den if ub is None else _floor_frac(ub * ref * den)
     return lo, hi
@@ -361,7 +361,6 @@ def k_scan(
     k_grid: Sequence[int] = tuple(range(5, 101, 5)),
     delta_tp: int = 0,
     reference_group: Optional[str] = None,
-    max_workers: int = 1,
 ) -> KScanReport:
     """Sweep k over percentage grid points and flag the zero-cost ones.
 
@@ -369,8 +368,6 @@ def k_scan(
     delta_tp true positives versus the cap-only optimum (default:
     exactly zero). The summary is "All", "None", or the longest
     contiguous optimal run "[a,b]" in percent (ties toward smaller a).
-    Grid points are independent; max_workers > 1 solves them in a
-    thread pool.
     """
     groups = tuple(groups)
     n = sum(g.n for g in groups)
@@ -393,13 +390,7 @@ def k_scan(
         got = res.tp_total if res.status == "optimal" else None
         return KScanRow(pct, k, ideal, got, got is not None and ideal - got <= delta_tp)
 
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(solve_point, k_grid))
-    else:
-        rows = [solve_point(pct) for pct in k_grid]
+    rows = [solve_point(pct) for pct in k_grid]
     return KScanReport(rows=tuple(rows), summary=_summarize(rows))
 
 

@@ -116,6 +116,10 @@ def test_estimate_json_fields():
     assert payload["fraction"] == pytest.approx(est.fraction)
 
 
+SINES = CurveFamily(
+    evaluator=lambda x, theta: 0.5 + theta[0] * np.sin(6.0 * x + theta[1]),
+    thetas=[(0.1, 0.0), (0.3, 1.3), (0.45, 2.0)],
+)
 MASK_CASES = {
     # name: grid -> (family, fill, further estimate_area options)
     "line:y=x": lambda grid: (line_family(1.0, [0.0]), "curve-only", {}),
@@ -125,6 +129,8 @@ MASK_CASES = {
     "acc-band 0.25": lambda grid: (acc_band_family(0.25, grid.radius), "curve-only", {}),
     "acc-band 0.5": lambda grid: (acc_band_family(0.5, grid.radius), "curve-only", {}),
     "acc-band 1.0": lambda grid: (acc_band_family(1.0, grid.radius), "curve-only", {}),
+    "sines fill below": lambda grid: (SINES, "below", {}),
+    "sines fill above": lambda grid: (SINES, "above", {}),
     "clipped lines": lambda grid: (line_family(2.0, [-0.5, 0.3]), "below", {}),
     "outside the square": lambda grid: (
         CurveFamily(evaluator=lambda x, theta: x + 5.0, thetas=[()]), "curve-only", {}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,30 +37,51 @@ def test_enumeration_rejects_degenerate_prevalence():
         enumerate_triples(10, disc)
 
 
-def test_count_box_matches_direct_count():
-    disc = Discretization(n=10)
-    s = enumerate_triples(4, disc)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        lo = rng.integers(0, 10, size=3)
-        hi = lo + rng.integers(0, 10, size=3)
-        expected = sum(
-            1
-            for a, b, v in s.triples
-            if lo[0] <= a <= hi[0] and lo[1] <= b <= hi[1] and lo[2] <= v <= hi[2]
-        )
-        assert s.count_box((lo[0], hi[0]), (lo[1], hi[1]), (lo[2], hi[2])) == expected
+COUNT_CASES = [  # n, p1, p2, eps_idx, PPV window
+    (5, 2, 3, 1, None),
+    (10, 5, 5, 0, None),
+    (20, 7, 7, 3, None),
+    (10, 3, 7, 2, None),
+    (20, 7, 11, 1, None),
+    (10, 3, 7, 10, None),  # eps_idx >= n: every pair counts
+    (10, 4, 6, 25, None),
+    (20, 7, 11, 2, (5, 12)),
+    (20, 7, 11, 3, (19, 19)),  # a window no triple falls in
+]
 
 
-@pytest.mark.parametrize("n,p1,p2,eps_idx", [(5, 2, 3, 1), (10, 5, 5, 0), (10, 3, 7, 2), (20, 7, 11, 1)])
-def test_count_joint_matches_double_loop(n, p1, p2, eps_idx):
-    disc = Discretization(n=n)
-    s1, s2 = enumerate_triples(p1, disc), enumerate_triples(p2, disc)
+@pytest.mark.parametrize(
+    "n,p1,p2,eps_idx,window",
+    COUNT_CASES,
+    ids=["-".join(map(str, c[:4])) + (f"-v{c[4][0]}:{c[4][1]}" if c[4] else "") for c in COUNT_CASES],
+)
+def test_count_joint_matches_double_loop(n, p1, p2, eps_idx, window):
+    disc = Discretization(n=n, v_range=window)
+    s1 = enumerate_triples(p1, disc)
+    s2 = s1 if p2 == p1 else enumerate_triples(p2, disc)  # one object twice, as --single-cell
     q = JointCountQuery(p1_idx=p1, p2_idx=p2, eps_max_idx=eps_idx)
     naive = naive_joint_count(
         {tuple(r) for r in s1.triples}, {tuple(r) for r in s2.triples}, eps_idx
     )
     assert count_joint(q, (s1, s2), disc) == naive
+    if eps_idx >= n:
+        assert naive == len(s1) * len(s2)
+    if window == (19, 19):
+        assert len(s1) == len(s2) == 0
+
+
+def test_count_joint_memory_grows_with_triples_not_n_cubed():
+    # one dense (n+2)^3 int64 table at n=300 alone would take 210 MiB
+    disc = Discretization(n=300)
+    s1, s2 = enumerate_triples(150, disc), enumerate_triples(149, disc)
+    q = JointCountQuery(p1_idx=150, p2_idx=149, eps_max_idx=15)
+    tracemalloc.start()
+    try:
+        count_joint(q, (s1, s2), disc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_count_joint_rejects_mismatched_sets():
