@@ -192,10 +192,22 @@ def relaxed_fnr_ppv(
 
 
 def residual_ppv_balance(r: PpvRelaxation, beta: float) -> float:
-    """LHS - RHS of the relaxed PPV balance at beta; oracle for the solver."""
-    p, v = r.p, r.v
-    p2 = p + r.eps_p
-    v2 = v + r.eps_v
-    lhs = (p / (1.0 - p)) * ((1.0 - v) / v) * (1.0 - beta)
-    rhs = (p2 / (1.0 - p2)) * ((1.0 - v2) / v2) * (1.0 - beta - r.eps_fnr) + r.eps_fpr
-    return lhs - rhs
+    """LHS - RHS of the relaxed PPV balance at beta; oracle for the solver.
+
+    Evaluated exactly on the binary values of the inputs (each float is
+    n/d with d a power of two) and rounded once, for a finite beta. Near
+    a singular balance beta runs into the thousands or beyond, where the
+    rounding of a float evaluation alone would exceed 1e-9.
+    """
+    (pn, pd), (vn, vd), (bn, bd) = (x.as_integer_ratio() for x in (r.p, r.v, beta))
+    (en, ed), (wn, wd) = r.eps_p.as_integer_ratio(), r.eps_v.as_integer_ratio()
+    (fn, fd), (an, ad) = r.eps_fnr.as_integer_ratio(), r.eps_fpr.as_integer_ratio()
+    qn, qd = pn * ed + en * pd, pd * ed  # p2 = p + eps_p
+    un, ud = vn * wd + wn * vd, vd * wd  # v2 = v + eps_v
+    # lhs = p/(1-p) * (1-v)/v * (1-beta)
+    ln, ld = pn * (vd - vn) * (bd - bn), (pd - pn) * vn * bd
+    # rhs = p2/(1-p2) * (1-v2)/v2 * (1-beta-eps_fnr) + eps_fpr
+    rn = qn * (ud - un) * ((bd - bn) * fd - fn * bd)
+    rd = (qd - qn) * un * bd * fd
+    rn, rd = rn * ad + an * rd, rd * ad
+    return (ln * rd - rn * ld) / (ld * rd)  # int / int rounds once

@@ -7,9 +7,10 @@ positive count t_j and selected negative count f_j. Searching over
 those integer allocations with an admissible true-positive bound is
 therefore exact, with no LP relaxation or external solver.
 
-All ratio constraints are checked in exact rational arithmetic
-(fractions.Fraction), so "optimal" and "feasible" are never artifacts
-of floating-point rounding.
+All ratio constraints are checked exactly, by integer
+cross-multiplication in the search and again with fractions.Fraction
+on the returned allocation, so "optimal" and "feasible" are never
+artifacts of floating-point rounding.
 """
 
 from __future__ import annotations
@@ -147,119 +148,138 @@ def _floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def _num_interval(
-    ref: Optional[Fraction], den: int, lb: Fraction, ub: Optional[Fraction]
+    r_num: int, r_den: int, den: int, lb: tuple[int, int], ub: Optional[tuple[int, int]]
 ) -> tuple[int, int]:
-    """Integer range for a numerator x with lb*ref <= x/den <= ub*ref.
+    """Integer range for a numerator x with lb*r <= x/den <= ub*r, r = r_num/r_den.
 
-    ref is the reference metric value; None (undefined) or den == 0
+    lb and ub are (numerator, denominator) pairs, ub None an infinite
+    upper bound. r_den == 0 (reference metric undefined) or den == 0
     (group metric undefined) leaves the numerator unconstrained per the
     zero-denominator policy, i.e. anywhere in [0, den].
     """
-    if ref is None or den == 0:
+    if r_den == 0 or den == 0:
         return 0, den
-    lo = _ceil_frac(lb * ref * den)
-    hi = den if ub is None else _floor_frac(ub * ref * den)
+    lo = -((-lb[0] * r_num * den) // (lb[1] * r_den))
+    hi = den if ub is None else (ub[0] * r_num * den) // (ub[1] * r_den)
     return lo, hi
 
 
 def solve_exact(inst: SelectionInstance) -> SelectionResult:
     """Maximize selected true positives under all constraints, exactly.
 
-    Enumerates the reference group's allocation first (fixing every
-    ratio interval), then searches the remaining groups depth-first
-    with an admissible bound; the last group is resolved in closed
-    form. The returned allocation is re-verified by check_allocation.
+    Enumerates the reference group's allocation first (t_ref descending,
+    f_ref ascending), which fixes every ratio interval, then searches
+    the remaining groups depth-first (t descending, f ascending) with an
+    admissible bound; the last group is resolved in closed form. Every
+    constraint is an integer cross-multiplication: the FPR intervals
+    are tabulated once per f_ref, the FNR intervals once per t_ref, and
+    the PPV wedge becomes a range of f for each t. The returned
+    allocation is re-verified with Fractions by check_allocation.
     """
-    lb = _to_fraction(inst.lb)
-    ub = _to_fraction(inst.ub)
+    lb_q, ub_q = _to_fraction(inst.lb), _to_fraction(inst.ub)
+    lb = (lb_q.numerator, lb_q.denominator)
+    ub = None if ub_q is None else (ub_q.numerator, ub_q.denominator)
     cap_t = _floor_frac(_to_fraction(inst.ppv_cap) * inst.k)
     k = inst.k
     ref = next(g for g in inst.groups if g.group_key == inst.reference_group)
     others = [g for g in inst.groups if g.group_key != inst.reference_group]
+    m = len(others)
     # capacity of groups after position i in the search order
-    suffix_cap = [0] * (len(others) + 1)
-    for i in range(len(others) - 1, -1, -1):
+    suffix_cap = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
         suffix_cap[i] = suffix_cap[i + 1] + others[i].n
+    # per f_ref: each other group's FPR range [f_lo, f_hi], or None
+    # when some group's range holds no count it has
+    f_table = []
+    for f_ref in range(ref.negatives + 1):
+        row = [_num_interval(f_ref, ref.negatives, g.negatives, lb, ub) for g in others]
+        ok = all(max(lo, 0) <= min(hi, g.negatives) for (lo, hi), g in zip(row, others))
+        f_table.append(row if ok else None)
 
     best_t = -1
     best_alloc: Optional[list[tuple[str, int, int]]] = None
+    # set per reference pair: t ranges, their suffix sums, f ranges, and
+    # the PPV wedge a/b <= ppv <= c/e (None when the reference list is empty)
+    t_row = t_sum = f_row = wedge = None
 
-    def descend(i, used, cur_t, alloc, bounds):
+    def descend(i, used, cur_t, alloc):
         nonlocal best_t, best_alloc
         rem = k - used
         if rem < 0 or rem > suffix_cap[i]:
             return
-        if i == len(others):
+        if i == m:
             if rem == 0 and cur_t > best_t:
                 best_t = cur_t
-                best_alloc = list(alloc)
+                best_alloc = alloc
             return
-        g = others[i]
-        t_lo, t_hi, f_lo, f_hi, p_lo, p_hi = bounds[i]
         # admissible bound: remaining groups contribute at most their
         # FNR-interval tops, never more than the budget or the cap
-        optimistic = cur_t + min(
-            sum(b[1] for b in bounds[i:]), rem, cap_t - cur_t
-        )
-        if optimistic <= best_t:
+        if cur_t + min(t_sum[i], rem, cap_t - cur_t) <= best_t:
             return
-        if i == len(others) - 1:
+        g = others[i]
+        t_lo, t_hi = t_row[i]
+        f_lo, f_hi = f_row[i]
+        if i == m - 1:
             # closed form: t + f = rem exactly
             if rem == 0:
-                if t_lo <= 0 and f_lo <= 0:
-                    descend(i + 1, used, cur_t, alloc + [(g.group_key, 0, 0)], bounds)
+                if t_lo <= 0 and f_lo <= 0 and cur_t > best_t:
+                    best_t = cur_t
+                    best_alloc = alloc + [(g.group_key, 0, 0)]
                 return
             lo = max(t_lo, rem - min(f_hi, g.negatives), 0)
             hi = min(t_hi, rem - f_lo, g.positives, rem, cap_t - cur_t)
-            if p_hi is not None:  # PPV wedge at fixed list size rem
-                lo = max(lo, _ceil_frac(p_lo * rem))
-                hi = min(hi, _floor_frac(p_hi * rem))
-            if lo <= hi:
-                descend(i + 1, k, cur_t + hi, alloc + [(g.group_key, hi, rem - hi)], bounds)
+            if wedge is not None:  # PPV wedge at fixed list size rem
+                a, b, c, e = wedge
+                lo = max(lo, -((-a * rem) // b))
+                hi = min(hi, c * rem // e)
+            if lo <= hi and cur_t + hi > best_t:
+                best_t = cur_t + hi
+                best_alloc = alloc + [(g.group_key, hi, rem - hi)]
             return
         for t in range(min(t_hi, g.positives, rem, cap_t - cur_t), max(t_lo, 0) - 1, -1):
-            f_top = min(f_hi, g.negatives, rem - t)
-            for f in range(max(f_lo, 0), f_top + 1):
-                if p_hi is not None and t + f > 0:
-                    s = t + f
-                    if not (p_lo * s <= t <= p_hi * s):
+            f_first = max(f_lo, 0)
+            f_last = min(f_hi, g.negatives, rem - t)
+            if wedge is not None:  # a/b <= t/(t+f) <= c/e; t = f = 0 is exempt
+                a, b, c, e = wedge
+                if a > 0:
+                    f_last = min(f_last, b * t // a - t)
+                if c < e:
+                    if c:
+                        f_first = max(f_first, -((c - e) * t // c))
+                    elif t:
                         continue
-                descend(i + 1, used + t + f, cur_t + t, alloc + [(g.group_key, t, f)], bounds)
+            for f in range(f_first, f_last + 1):
+                descend(i + 1, used + t + f, cur_t + t, alloc + [(g.group_key, t, f)])
 
     others_p = sum(g.positives for g in others)
     for t_ref in range(min(ref.positives, k, cap_t), -1, -1):
         # anything reachable from here on is bounded by this; t_ref descends
         if min(t_ref + others_p, cap_t) <= best_t:
             break
-        for f_ref in range(0, min(ref.negatives, k - t_ref) + 1):
-            fpr_ref = Fraction(f_ref, ref.negatives) if ref.negatives else None
-            fnr_ref = Fraction(ref.positives - t_ref, ref.positives) if ref.positives else None
-            ppv_ref = Fraction(t_ref, t_ref + f_ref) if t_ref + f_ref else None
-            bounds = []
-            ok = True
-            for g in others:
-                f_lo, f_hi = _num_interval(fpr_ref, g.negatives, lb, ub)
-                fn_lo, fn_hi = _num_interval(fnr_ref, g.positives, lb, ub)
-                t_lo, t_hi = g.positives - fn_hi, g.positives - fn_lo
-                if ppv_ref is None:
-                    p_lo = p_hi = None
-                else:
-                    p_lo = lb * ppv_ref
-                    p_hi = Fraction(1) if ub is None else min(ub * ppv_ref, Fraction(1))
-                if max(t_lo, 0) > min(t_hi, g.positives) or max(f_lo, 0) > min(
-                    f_hi, g.negatives
-                ):
-                    ok = False
-                    break
-                bounds.append((t_lo, t_hi, f_lo, f_hi, p_lo, p_hi))
-            if not ok:
+        t_row = []
+        for g in others:
+            fn_lo, fn_hi = _num_interval(ref.positives - t_ref, ref.positives, g.positives, lb, ub)
+            t_row.append((g.positives - fn_hi, g.positives - fn_lo))
+        if any(max(lo, 0) > min(hi, g.positives) for (lo, hi), g in zip(t_row, others)):
+            continue
+        t_sum = [0] * (m + 1)
+        for i in range(m - 1, -1, -1):
+            t_sum[i] = t_sum[i + 1] + t_row[i][1]
+        # smaller f_ref leave more than the other groups can hold
+        for f_ref in range(max(0, k - t_ref - suffix_cap[0]), min(ref.negatives, k - t_ref) + 1):
+            # the bound only tightens as f_ref grows and best_t rises
+            if t_ref + min(t_sum[0], k - t_ref - f_ref, cap_t - t_ref) <= best_t:
+                break
+            f_row = f_table[f_ref]
+            if f_row is None:
                 continue
-            descend(0, t_ref + f_ref, t_ref, [(ref.group_key, t_ref, f_ref)], bounds)
+            s_ref = t_ref + f_ref
+            wedge = None
+            if s_ref:
+                c, e = (1, 1) if ub is None else (ub[0] * t_ref, ub[1] * s_ref)
+                wedge = (lb[0] * t_ref, lb[1] * s_ref, c, e)
+            descend(0, s_ref, t_ref, [(ref.group_key, t_ref, f_ref)])
 
     if best_alloc is None:
         return SelectionResult(
@@ -373,7 +393,7 @@ def k_scan(
     n = sum(g.n for g in groups)
 
     def solve_point(pct: int) -> KScanRow:
-        k = max(1, math.floor(pct / 100.0 * n + 0.5))
+        k = max(1, (2 * pct * n + 100) // 200)  # pct% of n, exact halves up
         inst = SelectionInstance(
             groups=groups,
             k=k,

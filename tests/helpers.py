@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own code paths: the triple
 oracle checks the defining relation with exact Fractions, the selection
-oracle enumerates every C(n, k) item subset, and the planimeter oracle
-measures every detector against every curve point.
+oracle enumerates every C(n, k) item subset, the reference solver is the
+group-count search in Fraction arithmetic that the integer solver must
+reproduce allocation for allocation, and the planimeter oracle measures
+every detector against every curve point.
 """
 
 from __future__ import annotations
@@ -11,10 +13,18 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from fairfeas.selection import SelectionInstance
+from fairfeas.selection import (
+    GroupAllocation,
+    SelectionInstance,
+    SelectionResult,
+    _build_result,
+    _to_fraction,
+    check_allocation,
+)
 
 
 def naive_triples(p_idx: int, disc) -> set[tuple[int, int, int]]:
@@ -127,6 +137,144 @@ def item_oracle(inst: SelectionInstance) -> int:
         if feasible(tuple(t), tuple(f)):
             best = tp
     return best
+
+
+def _floor_frac(x: Fraction) -> int:
+    return x.numerator // x.denominator
+
+
+def _ceil_frac(x: Fraction) -> int:
+    return -((-x.numerator) // x.denominator)
+
+
+def _num_interval(
+    ref: Optional[Fraction], den: int, lb: Fraction, ub: Optional[Fraction]
+) -> tuple[int, int]:
+    """Integer range for a numerator x with lb*ref <= x/den <= ub*ref.
+
+    ref is the reference metric value; None (undefined) or den == 0
+    (group metric undefined) leaves the numerator unconstrained per the
+    zero-denominator policy, i.e. anywhere in [0, den].
+    """
+    if ref is None or den == 0:
+        return 0, den
+    lo = _ceil_frac(lb * ref * den)
+    hi = den if ub is None else _floor_frac(ub * ref * den)
+    return lo, hi
+
+
+def reference_solve_exact(inst: SelectionInstance) -> SelectionResult:
+    """The Fraction-based solver, kept as the oracle for solve_exact.
+
+    Maximizes selected true positives under all constraints, exactly.
+    Enumerates the reference group's allocation first (fixing every
+    ratio interval), then searches the remaining groups depth-first
+    with an admissible bound; the last group is resolved in closed
+    form. The returned allocation is re-verified by check_allocation.
+    """
+    lb = _to_fraction(inst.lb)
+    ub = _to_fraction(inst.ub)
+    cap_t = _floor_frac(_to_fraction(inst.ppv_cap) * inst.k)
+    k = inst.k
+    ref = next(g for g in inst.groups if g.group_key == inst.reference_group)
+    others = [g for g in inst.groups if g.group_key != inst.reference_group]
+    # capacity of groups after position i in the search order
+    suffix_cap = [0] * (len(others) + 1)
+    for i in range(len(others) - 1, -1, -1):
+        suffix_cap[i] = suffix_cap[i + 1] + others[i].n
+
+    best_t = -1
+    best_alloc: Optional[list[tuple[str, int, int]]] = None
+
+    def descend(i, used, cur_t, alloc, bounds):
+        nonlocal best_t, best_alloc
+        rem = k - used
+        if rem < 0 or rem > suffix_cap[i]:
+            return
+        if i == len(others):
+            if rem == 0 and cur_t > best_t:
+                best_t = cur_t
+                best_alloc = list(alloc)
+            return
+        g = others[i]
+        t_lo, t_hi, f_lo, f_hi, p_lo, p_hi = bounds[i]
+        # admissible bound: remaining groups contribute at most their
+        # FNR-interval tops, never more than the budget or the cap
+        optimistic = cur_t + min(
+            sum(b[1] for b in bounds[i:]), rem, cap_t - cur_t
+        )
+        if optimistic <= best_t:
+            return
+        if i == len(others) - 1:
+            # closed form: t + f = rem exactly
+            if rem == 0:
+                if t_lo <= 0 and f_lo <= 0:
+                    descend(i + 1, used, cur_t, alloc + [(g.group_key, 0, 0)], bounds)
+                return
+            lo = max(t_lo, rem - min(f_hi, g.negatives), 0)
+            hi = min(t_hi, rem - f_lo, g.positives, rem, cap_t - cur_t)
+            if p_hi is not None:  # PPV wedge at fixed list size rem
+                lo = max(lo, _ceil_frac(p_lo * rem))
+                hi = min(hi, _floor_frac(p_hi * rem))
+            if lo <= hi:
+                descend(i + 1, k, cur_t + hi, alloc + [(g.group_key, hi, rem - hi)], bounds)
+            return
+        for t in range(min(t_hi, g.positives, rem, cap_t - cur_t), max(t_lo, 0) - 1, -1):
+            f_top = min(f_hi, g.negatives, rem - t)
+            for f in range(max(f_lo, 0), f_top + 1):
+                if p_hi is not None and t + f > 0:
+                    s = t + f
+                    if not (p_lo * s <= t <= p_hi * s):
+                        continue
+                descend(i + 1, used + t + f, cur_t + t, alloc + [(g.group_key, t, f)], bounds)
+
+    others_p = sum(g.positives for g in others)
+    for t_ref in range(min(ref.positives, k, cap_t), -1, -1):
+        # anything reachable from here on is bounded by this; t_ref descends
+        if min(t_ref + others_p, cap_t) <= best_t:
+            break
+        for f_ref in range(0, min(ref.negatives, k - t_ref) + 1):
+            fpr_ref = Fraction(f_ref, ref.negatives) if ref.negatives else None
+            fnr_ref = Fraction(ref.positives - t_ref, ref.positives) if ref.positives else None
+            ppv_ref = Fraction(t_ref, t_ref + f_ref) if t_ref + f_ref else None
+            bounds = []
+            ok = True
+            for g in others:
+                f_lo, f_hi = _num_interval(fpr_ref, g.negatives, lb, ub)
+                fn_lo, fn_hi = _num_interval(fnr_ref, g.positives, lb, ub)
+                t_lo, t_hi = g.positives - fn_hi, g.positives - fn_lo
+                if ppv_ref is None:
+                    p_lo = p_hi = None
+                else:
+                    p_lo = lb * ppv_ref
+                    p_hi = Fraction(1) if ub is None else min(ub * ppv_ref, Fraction(1))
+                if max(t_lo, 0) > min(t_hi, g.positives) or max(f_lo, 0) > min(
+                    f_hi, g.negatives
+                ):
+                    ok = False
+                    break
+                bounds.append((t_lo, t_hi, f_lo, f_hi, p_lo, p_hi))
+            if not ok:
+                continue
+            descend(0, t_ref + f_ref, t_ref, [(ref.group_key, t_ref, f_ref)], bounds)
+
+    if best_alloc is None:
+        return SelectionResult(
+            status="infeasible",
+            allocation=None,
+            tp_total=0,
+            list_ppv=None,
+            recall=None,
+            per_group={},
+            disparities={},
+        )
+    allocation = GroupAllocation(
+        t={key: t for key, t, _ in best_alloc},
+        f={key: f for key, _, f in best_alloc},
+    )
+    result = _build_result(inst, allocation)
+    check_allocation(inst, allocation)
+    return result
 
 
 def brute_force_mask(grid, fam, fill="curve-only", sample_step=None, radius=None):

@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairfeas
 from fairfeas import selection
@@ -113,6 +119,13 @@ def test_planimeter_huge_grid_rejected_before_allocation(capsys):
     code, out, err = run(capsys, "planimeter", "--b", "6", "--err", "1e-9", "--family", "line:y=x")
     assert code == 2
     assert out == ""
+    assert err.count("\n") == 1 and "DomainError" in err
+
+
+def test_region_huge_resolution_rejected_before_enumeration(tmp_path, capsys):
+    code, out, err = run(capsys, "region", "--n", "100000", "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == "" and not any(tmp_path.iterdir())
     assert err.count("\n") == 1 and "DomainError" in err
 
 
@@ -258,3 +271,54 @@ def test_file_outputs_closed_before_rename(tmp_path, capsys):
     assert (tmp_path / "planimeter.json").read_text() == (
         '{"g": 9, "satisfied": 9, "fraction": 0.1111111111111111}'
     )
+
+
+# each flag draws a usable value about half the time, so a sixth or so
+# of the runs get past validation into the k-scan (exit 0 or 1)
+BAD_NUMBER = st.one_of(
+    st.sampled_from(["0", "-0.5", "1.5", "inf", "-inf", "nan", "x"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+CAP_TEXT = st.one_of(st.sampled_from(["0.3", "0.7", "1", "1e-300"]), BAD_NUMBER)
+LB_TEXT = st.one_of(st.sampled_from(["0.8", "0", "-0.5", "1", "-1e300"]), BAD_NUMBER)
+UB_TEXT = st.one_of(st.sampled_from(["1.2", "1", "7", "inf", "1e300"]), BAD_NUMBER)
+K_GRID_TEXT = st.one_of(
+    st.lists(st.integers(1, 100), min_size=1, max_size=5).map(lambda xs: ",".join(map(str, xs))),
+    st.lists(st.integers(-5, 120), min_size=1, max_size=5).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", ",", "5,,10", "abc", "5.5", "1e2"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(["pos", "neg"]), st.sampled_from(["F", "M", "X"])),
+        min_size=1,
+        max_size=30,
+    ),
+    cap=CAP_TEXT,
+    lb=LB_TEXT,
+    ub=UB_TEXT,
+    k_grid=K_GRID_TEXT,
+)
+def test_analyze_fuzz_exits_cleanly(rows, cap, lb, ub, k_grid):
+    # whatever the flags, a run ends with 0, 1 or 2 and at most one
+    # error line; an exception escaping main() fails the test outright
+    with tempfile.TemporaryDirectory() as tmp:
+        src, schema = write_fixture(Path(tmp), [[label, sex, "u"] for label, sex in rows])
+        out, err = io.StringIO(), io.StringIO()
+        argv = [
+            "analyze", "--csv", str(src), "--schema", str(schema), "--grouping", "sex",
+            f"--cap={cap}", f"--lb={lb}", f"--ub={ub}", f"--k-grid={k_grid}",
+        ]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a malformed number
+                code = exc.code
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert sum("error:" in line for line in lines) == (code == 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 2:
+        assert json.loads(out.getvalue())["k_scan"]["rows"]

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fairfeas.errors import BadPrevalence, MismatchedSets, OverlappingBins
+from fairfeas.errors import BadPrevalence, DomainError, MismatchedSets, OverlappingBins
 from fairfeas.region import (
+    MAX_N,
     Discretization,
     JointCountQuery,
     count_joint,
@@ -146,6 +147,12 @@ def test_heatmap_csv_round_trips_header(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == len(hm.p_indices) + 1
     assert lines[0].split(",")[1:] == [str(p) for p in hm.p_indices]
+
+
+def test_resolution_limit_rejected_before_enumeration():
+    assert Discretization(n=MAX_N).n == MAX_N  # constructing enumerates nothing
+    with pytest.raises(DomainError):
+        Discretization(n=MAX_N + 1)
 
 
 def test_discretization_validates_ranges():

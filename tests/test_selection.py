@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fairfeas import selection
 from fairfeas.errors import Infeasible, TooManyGroups
 from fairfeas.selection import (
     GroupSupply,
@@ -15,7 +16,7 @@ from fairfeas.selection import (
     solve_exact,
     unconstrained_max_tp,
 )
-from helpers import item_oracle
+from helpers import item_oracle, reference_solve_exact
 
 
 def random_instance(rng, max_per_group=5, max_groups=3):
@@ -68,6 +69,65 @@ def test_group_count_optimum_matches_item_oracle():
         res = solve_exact(inst)
         got = res.tp_total if res.status == "optimal" else -1
         assert got == expected, f"instance {inst}"
+
+
+RATIO_BOUNDS = ((0.8, 1.2), (0.5, math.inf), (1, 1))
+CAPS = (0.3, 0.7, 1.0)
+
+
+def assert_matches_reference(inst):
+    res, ref = solve_exact(inst), reference_solve_exact(inst)
+    assert (res.status, res.tp_total, res.allocation) == (
+        ref.status,
+        ref.tp_total,
+        ref.allocation,
+    ), f"instance {inst}"
+    return res
+
+
+@pytest.mark.parametrize("n_groups", [1, 2, 3, 4])
+def test_solve_exact_matches_reference_solver(n_groups, monkeypatch):
+    # same status, optimum and tie-broken allocation as the Fraction
+    # search on every k; a quarter of the groups lack positives and a
+    # quarter lack negatives, so every zero-denominator rule is exercised
+    checked = []
+    real_check = selection.check_allocation
+    monkeypatch.setattr(
+        selection,
+        "check_allocation",
+        lambda inst, alloc: checked.append(alloc) or real_check(inst, alloc),
+    )
+    optimal = 0
+    rng = random.Random(1000 + n_groups)
+    for _ in range(4):
+        groups = []
+        for j in range(n_groups):
+            p, n = rng.randint(0, 7), rng.randint(0, 7)
+            kind = rng.random()
+            if kind < 0.25:
+                p, n = 0, n or 1
+            elif kind < 0.5:
+                p, n = p or 1, 0
+            groups.append(GroupSupply(f"g{j}", p, n))
+        ref = rng.choice([g.group_key for g in groups])
+        total = sum(g.n for g in groups)
+        for lb, ub in RATIO_BOUNDS:
+            for cap in CAPS:
+                for k in range(1, total + 1):
+                    inst = SelectionInstance(tuple(groups), k, cap, lb, ub, ref)
+                    optimal += assert_matches_reference(inst).status == "optimal"
+    assert optimal > 0 and len(checked) == optimal
+
+
+@pytest.mark.parametrize(
+    "supply", [((120, 180), (40, 160)), ((30, 270), (90, 110)), ((150, 50), (0, 60))]
+)
+def test_solve_exact_matches_reference_solver_few_hundred_rows(supply):
+    groups = tuple(GroupSupply(f"g{j}", p, n) for j, (p, n) in enumerate(supply))
+    total = sum(g.n for g in groups)
+    for lb, ub in RATIO_BOUNDS:
+        for pct in (5, 30, 55, 80, 100):
+            assert_matches_reference(SelectionInstance(groups, pct * total // 100, 0.7, lb, ub))
 
 
 def test_zero_positive_group_skips_fnr_constraint():
@@ -163,6 +223,13 @@ def test_k_scan_summary_longest_run():
     groups = (GroupSupply("a", 100, 100), GroupSupply("b", 100, 100))
     report = k_scan(groups, cap=0.7)
     assert report.summary in ("All", "None") or report.summary.startswith("[")
+
+
+@pytest.mark.parametrize("pct, n, k", [(58, 25, 15), (70, 45, 32), (50, 3, 2), (1, 10, 1)])
+def test_k_scan_rounds_exact_halves_up(pct, n, k):
+    # 58% of 25 is 14.5 exactly, but 0.58 * 25 is 14.499999999999998 in floats
+    report = k_scan((GroupSupply("a", n // 2, n - n // 2),), cap=1.0, k_grid=(pct,))
+    assert report.rows[0].k_abs == k
 
 
 def test_k_scan_json_round_trip():
