@@ -43,7 +43,6 @@ from .planimeter import (
 from .region import (
     Discretization,
     FeasibleTripleSet,
-    JointCountQuery,
     PrevalenceHeatmap,
     count_joint,
     enumerate_triples,
@@ -92,7 +91,6 @@ __all__ = [
     "GroupCounts",
     "GroupSupply",
     "GroupingSpec",
-    "JointCountQuery",
     "KScanReport",
     "MetricPoint",
     "OffsetBounds",

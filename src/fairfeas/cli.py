@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 from . import data, pgm, planimeter, region, relations, selection
-from .errors import FairfeasError
+from .errors import DomainError, FairfeasError, ZeroEpsP
 
 DEFAULT_K_GRID = tuple(range(5, 101, 5))
 
@@ -51,24 +51,33 @@ def cmd_area(args) -> int:
     return 0
 
 
+def _grid_index(flag: str, value: float, n: int, rounding=round) -> int:
+    """value * n rounded to a grid index; a non-finite product is a usage error."""
+    scaled = value * n
+    if not math.isfinite(scaled):
+        raise DomainError(f"{flag} {value} times n={n} is not a finite number")
+    return rounding(scaled)
+
+
 def cmd_region(args) -> int:
     disc = region.Discretization(
         n=args.n,
         # inner rounding keeps the window conservative: e.g. max 0.99 at
         # n=10 is index 9 (PPV 0.9), never the perfect-prediction edge
-        v_range=(math.ceil(args.ppv_min * args.n), math.floor(args.ppv_max * args.n)),
+        v_range=(
+            _grid_index("--ppv-min", args.ppv_min, args.n, math.ceil),
+            _grid_index("--ppv-max", args.ppv_max, args.n, math.floor),
+        ),
     )
     if args.single_cell:
         if args.p1 is None or args.p2 is None:
             raise FairfeasError("--single-cell requires --p1 and --p2")
-        p1 = round(args.p1 * args.n)
-        p2 = round(args.p2 * args.n)
-        q = region.JointCountQuery(
-            p1_idx=p1, p2_idx=p2, eps_max_idx=round(args.eps * args.n)
-        )
+        p1 = _grid_index("--p1", args.p1, args.n)
+        p2 = _grid_index("--p2", args.p2, args.n)
+        eps_idx = _grid_index("--eps", args.eps, args.n)
         s1 = region.enumerate_triples(p1, disc)
         s2 = s1 if p2 == p1 else region.enumerate_triples(p2, disc)
-        print(region.count_joint(q, (s1, s2), disc))
+        print(region.count_joint((s1, s2), eps_idx))
         return 0
     hm = region.heatmap(disc, eps_max=args.eps, p_grid_step=args.step)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -148,6 +157,8 @@ def _family_from_args(args, grid: planimeter.DetectorGrid) -> planimeter.CurveFa
     if args.family == "acc-band":
         if args.gamma is None or args.eps_p is None:
             raise FairfeasError("acc-band requires --gamma and --eps-p")
+        if args.eps_p == 0.0:
+            raise ZeroEpsP("equal-prevalence case is excluded")
         c_max = min(2.0 * args.gamma / abs(args.eps_p), 1.0)
         return planimeter.acc_band_family(c_max, grid.radius)
     raise FairfeasError(f"unknown family {args.family!r}")

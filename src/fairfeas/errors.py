@@ -37,10 +37,6 @@ class BadPrevalence(FairfeasError):
     """Prevalence index at an excluded boundary (0 or N)."""
 
 
-class MismatchedSets(FairfeasError):
-    """Triple sets do not correspond to the requested prevalence indices."""
-
-
 class OverlappingBins(FairfeasError):
     """PPV bins overlap or leave the allowed index range."""
 

@@ -16,12 +16,13 @@ time and memory for sets of M1 and M2 triples.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadPrevalence, DomainError, MismatchedSets, OverlappingBins
+from .errors import BadPrevalence, DomainError, OverlappingBins
 
 #: Largest grid resolution. count_joint holds, per pair of triples, one
 #: bool of the running mask, two int64 temporaries and one bool compare,
@@ -71,24 +72,10 @@ class FeasibleTripleSet:
     """All feasible (alpha, beta, v) index triples for one prevalence index."""
 
     p_idx: int
-    disc: Discretization
     triples: np.ndarray  # (M, 3) int array, columns (alpha, beta, v)
 
     def __len__(self) -> int:
         return len(self.triples)
-
-
-@dataclass(frozen=True)
-class JointCountQuery:
-    """Pair-count query: shared tolerance applied to |d_alpha|, |d_beta|, |d_v|."""
-
-    p1_idx: int
-    p2_idx: int
-    eps_max_idx: int
-
-    def __post_init__(self):
-        if self.eps_max_idx < 0:
-            raise ValueError("eps_max_idx must be >= 0")
 
 
 @dataclass
@@ -129,37 +116,31 @@ def enumerate_triples(p_idx: int, disc: Discretization) -> FeasibleTripleSet:
         for b, a in zip(betas[mask], alphas[mask]):
             found.append((int(a), int(b), v))
     arr = np.array(sorted(found), dtype=np.int64).reshape(-1, 3)
-    return FeasibleTripleSet(p_idx=p_idx, disc=disc, triples=arr)
+    return FeasibleTripleSet(p_idx=p_idx, triples=arr)
 
 
-def count_joint(
-    q: JointCountQuery,
-    sets: tuple[FeasibleTripleSet, FeasibleTripleSet],
-    disc: Discretization,
-) -> int:
-    """Number of cross-set triple pairs within eps_max_idx on every metric."""
+def count_joint(sets: tuple[FeasibleTripleSet, FeasibleTripleSet], eps_idx: int) -> int:
+    """Number of cross-set triple pairs within eps_idx on every metric."""
+    if eps_idx < 0:
+        raise ValueError(f"eps_idx must be >= 0, got {eps_idx}")
     s1, s2 = sets
-    if s1.p_idx != q.p1_idx or s2.p_idx != q.p2_idx:
-        raise MismatchedSets(
-            f"sets have p_idx ({s1.p_idx}, {s2.p_idx}), query wants "
-            f"({q.p1_idx}, {q.p2_idx})"
-        )
-    e = q.eps_max_idx
     near = np.ones((len(s1), len(s2)), dtype=bool)
     for col in range(3):
-        near &= np.abs(s1.triples[:, col, None] - s2.triples[None, :, col]) <= e
+        near &= np.abs(s1.triples[:, col, None] - s2.triples[None, :, col]) <= eps_idx
     return int(np.count_nonzero(near))
 
 
-def _restrict_v(s: FeasibleTripleSet, window: tuple[int, int]) -> FeasibleTripleSet:
-    lo, hi = window
-    mask = (s.triples[:, 2] >= lo) & (s.triples[:, 2] <= hi)
-    return FeasibleTripleSet(p_idx=s.p_idx, disc=s.disc, triples=s.triples[mask])
-
-
 def prevalence_grid(disc: Discretization, p_grid_step: float) -> list[int]:
-    """Prevalence indices in [1, n-1] at the requested real-valued step."""
+    """Prevalence indices in [1, n-1] at a real-valued step in (0, 1).
+
+    The step rounds to a whole number of indices, at least one; a step
+    that rounds to n or more leaves no index and is rejected.
+    """
+    if not 0.0 < p_grid_step < 1.0:
+        raise ValueError(f"p_grid_step must lie in (0, 1), got {p_grid_step}")
     step_idx = max(1, round(p_grid_step * disc.n))
+    if step_idx >= disc.n:
+        raise ValueError(f"p_grid_step={p_grid_step} leaves no prevalence at n={disc.n}")
     return list(range(step_idx, disc.n, step_idx))
 
 
@@ -167,13 +148,15 @@ def heatmap(
     disc: Discretization,
     eps_max: float,
     p_grid_step: float = 0.01,
-    ppv_window: Optional[tuple[int, int]] = None,
     strict_eps: bool = False,
 ) -> PrevalenceHeatmap:
     """Joint feasible-pair counts for every prevalence pair on the grid.
 
-    strict_eps counts |difference| < eps rather than <= eps; exposed for
-    encoding-sensitivity scans.
+    The PPV index runs over disc.v_range. strict_eps counts
+    |difference| < eps rather than <= eps, exposed for
+    encoding-sensitivity scans; where eps_max rounds to index 0 it is
+    clamped to |difference| <= 0, so strict and inclusive counts agree
+    there (16,478 each at n=100, eps_max=0).
     """
     if not 0.0 <= eps_max <= 1.0:
         raise ValueError(f"eps_max must lie in [0, 1], got {eps_max}")
@@ -181,16 +164,11 @@ def heatmap(
     eps_idx = round(eps_max * disc.n)
     if strict_eps:
         eps_idx = max(0, eps_idx - 1)
-    sets = {}
-    for p in grid:
-        s = enumerate_triples(p, disc)
-        sets[p] = _restrict_v(s, ppv_window) if ppv_window is not None else s
+    sets = [enumerate_triples(p, disc) for p in grid]
     counts = np.zeros((len(grid), len(grid)), dtype=np.int64)
-    for j, p2 in enumerate(grid):
+    for j in range(len(grid)):
         for i in range(j, len(grid)):
-            p1 = grid[i]
-            q = JointCountQuery(p1_idx=p1, p2_idx=p2, eps_max_idx=eps_idx)
-            c = count_joint(q, (sets[p1], sets[p2]), disc)
+            c = count_joint((sets[i], sets[j]), eps_idx)
             counts[i, j] = c
             counts[j, i] = c
     return PrevalenceHeatmap(
@@ -205,24 +183,22 @@ def ppv_binned_counts(
     disc: Discretization,
     eps_max: float,
     bins: Sequence[tuple[int, int]] = DEFAULT_PPV_BINS,
-    p_grid_step: float = 0.01,
-    strict_eps: bool = False,
 ) -> list[int]:
-    """Heatmap totals with the PPV index restricted to each bin in turn."""
+    """Heatmap totals with disc.v_range narrowed to each bin in turn.
+
+    Every bin must lie inside disc.v_range: a window reaching past it
+    would add PPV values the full heatmap never counts.
+    """
     v_lo, v_hi = disc.v_range
-    covered = []
-    for lo, hi in bins:
+    windows = [(lo, hi) for lo, hi in bins]
+    for lo, hi in windows:
         if lo > hi or lo < v_lo or hi > v_hi:
             raise OverlappingBins(f"bin ({lo}, {hi}) outside v_range {disc.v_range}")
-        covered.append((lo, hi))
-    covered.sort()
+    covered = sorted(windows)
     for (_, hi_prev), (lo_next, _) in zip(covered, covered[1:]):
         if lo_next <= hi_prev:
             raise OverlappingBins("bins must be disjoint")
-    return [
-        heatmap(disc, eps_max, p_grid_step, ppv_window=b, strict_eps=strict_eps).total
-        for b in bins
-    ]
+    return [heatmap(dataclasses.replace(disc, v_range=w), eps_max).total for w in windows]
 
 
 def heatmap_to_csv(hm: PrevalenceHeatmap, path) -> None:

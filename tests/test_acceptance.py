@@ -22,7 +22,6 @@ from fairfeas.planimeter import (
 )
 from fairfeas.region import (
     Discretization,
-    JointCountQuery,
     count_joint,
     enumerate_triples,
     heatmap,
@@ -165,11 +164,8 @@ def test_criterion_4_enumeration_oracle():
         pairs = [(1, n // 2), (n // 2, n // 2), (n // 2, n - 1)]
         for p1, p2 in pairs:
             for eps_idx in (0, 1, 2):
-                q = JointCountQuery(p1_idx=p1, p2_idx=p2, eps_max_idx=eps_idx)
                 joint = count_joint(
-                    q,
-                    (enumerate_triples(p1, disc), enumerate_triples(p2, disc)),
-                    disc,
+                    (enumerate_triples(p1, disc), enumerate_triples(p2, disc)), eps_idx
                 )
                 ok = ok and joint == naive_joint_count(sets[p1], sets[p2], eps_idx)
     hand = len(enumerate_triples(5, Discretization(n=10)))

@@ -122,6 +122,47 @@ def test_planimeter_huge_grid_rejected_before_allocation(capsys):
     assert err.count("\n") == 1 and "DomainError" in err
 
 
+# a grid index (value * n) must be finite and the prevalence step must
+# lie in (0, 1); each case is a usage error raised before any output
+REGION_USAGE_ERRORS = [
+    ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--eps", "inf"),
+    ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--eps", "1e308"),  # finite, eps * n is not
+    ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--eps", "nan"),
+    ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--eps", "-0.5"),
+    ("--single-cell", "--p1", "inf", "--p2", "0.5"),
+    ("--single-cell", "--p1", "0.5", "--p2=-inf"),
+    ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--ppv-min", "inf"),
+    ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--ppv-max=-inf"),
+    ("--step", "inf"),
+    ("--step", "nan"),
+    ("--step", "0"),
+    ("--step", "-1"),
+    ("--step", "1"),
+    ("--ppv-min", "nan"),
+    ("--eps", "inf"),
+]
+
+
+@pytest.mark.parametrize("flags", REGION_USAGE_ERRORS, ids=" ".join)
+def test_region_rejects_unusable_values(flags, tmp_path, capsys):
+    code, out, err = run(capsys, "region", "--n", "10", "--out-dir", str(tmp_path), *flags)
+    assert code == 2
+    assert out == "" and not any(tmp_path.iterdir())
+    assert err.count("\n") == 1 and err.startswith("error: ") and "internal" not in err
+
+
+@pytest.mark.parametrize("eps_p", ["0", "-0.0"])
+def test_planimeter_zero_eps_p_is_usage_error(eps_p, tmp_path, capsys):
+    code, out, err = run(
+        capsys,
+        "planimeter", "--g", "9", "--family", "acc-band",
+        "--gamma", "0.05", f"--eps-p={eps_p}", "--out-dir", str(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "ZeroEpsP" in err
+
+
 def test_region_huge_resolution_rejected_before_enumeration(tmp_path, capsys):
     code, out, err = run(capsys, "region", "--n", "100000", "--out-dir", str(tmp_path))
     assert code == 2
@@ -273,6 +314,17 @@ def test_file_outputs_closed_before_rename(tmp_path, capsys):
     )
 
 
+def run_argv(argv) -> tuple[int, str, str]:
+    """main(argv) with captured streams; argparse rejections count as exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 # each flag draws a usable value about half the time, so a sixth or so
 # of the runs get past validation into the k-scan (exit 0 or 1)
 BAD_NUMBER = st.one_of(
@@ -306,19 +358,66 @@ def test_analyze_fuzz_exits_cleanly(rows, cap, lb, ub, k_grid):
     # error line; an exception escaping main() fails the test outright
     with tempfile.TemporaryDirectory() as tmp:
         src, schema = write_fixture(Path(tmp), [[label, sex, "u"] for label, sex in rows])
-        out, err = io.StringIO(), io.StringIO()
-        argv = [
+        code, out, err = run_argv([
             "analyze", "--csv", str(src), "--schema", str(schema), "--grouping", "sex",
             f"--cap={cap}", f"--lb={lb}", f"--ub={ub}", f"--k-grid={k_grid}",
-        ]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects a malformed number
-                code = exc.code
+        ])
     assert code in (0, 1, 2)
-    lines = err.getvalue().splitlines()
-    assert sum("error:" in line for line in lines) == (code == 2)
-    assert "Traceback" not in err.getvalue()
+    assert sum("error:" in line for line in err.splitlines()) == (code == 2)
+    assert "Traceback" not in err
     if code != 2:
-        assert json.loads(out.getvalue())["k_scan"]["rows"]
+        assert json.loads(out)["k_scan"]["rows"]
+
+
+def assert_clean_exit(code, out, err, parse):
+    # usable input prints one number; anything else is one error line
+    assert code in (0, 2)
+    assert sum("error:" in line for line in err.splitlines()) == (code == 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert parse(out.strip()) >= 0
+
+
+def flag_args(**values) -> list[str]:
+    """--name=value for each value drawn, skipping flags drawn as None."""
+    return [f"--{k.replace('_', '-')}={v}" for k, v in values.items() if v is not None]
+
+
+def unit_value(*usable):
+    return st.one_of(st.none(), st.sampled_from(usable), BAD_NUMBER)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.integers(-2, 20), st.sampled_from([401, 10**6])),
+    single_cell=st.booleans(),
+    eps=unit_value("0", "0.05", "0.1", "1"),
+    step=unit_value("0.05", "0.1", "0.25"),
+    ppv_min=unit_value("0", "0.3"),
+    ppv_max=unit_value("0.99", "0.6"),
+    p1=unit_value("0.5", "0.3"),
+    p2=unit_value("0.5", "0.7"),
+)
+def test_region_fuzz_exits_cleanly(n, single_cell, eps, step, ppv_min, ppv_max, p1, p2):
+    argv = ["region", f"--n={n}"] + flag_args(
+        eps=eps, step=step, ppv_min=ppv_min, ppv_max=ppv_max, p1=p1, p2=p2
+    )
+    if single_cell:
+        argv.append("--single-cell")
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_clean_exit(*run_argv(argv + ["--out-dir", tmp]), parse=int)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.integers(-1, 40),
+    family=st.sampled_from(["acc-band", "line:y=x", "circle"]),
+    fill=st.sampled_from(["curve-only", "below", "above"]),
+    gamma=unit_value("0.05", "0.2"),
+    eps_p=st.one_of(st.sampled_from(["-0.0", "0.2", "-0.1"]), unit_value("0.5")),
+)
+def test_planimeter_fuzz_exits_cleanly(g, family, fill, gamma, eps_p):
+    argv = ["planimeter", f"--g={g}", f"--family={family}", f"--fill={fill}"]
+    argv += flag_args(gamma=gamma, eps_p=eps_p)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_clean_exit(*run_argv(argv + ["--out-dir", tmp]), parse=float)

@@ -1,13 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fairfeas.errors import BadPrevalence, DomainError, MismatchedSets, OverlappingBins
+from fairfeas.errors import BadPrevalence, DomainError, OverlappingBins
 from fairfeas.region import (
     MAX_N,
     Discretization,
-    JointCountQuery,
     count_joint,
     enumerate_triples,
     heatmap,
@@ -60,11 +60,10 @@ def test_count_joint_matches_double_loop(n, p1, p2, eps_idx, window):
     disc = Discretization(n=n, v_range=window)
     s1 = enumerate_triples(p1, disc)
     s2 = s1 if p2 == p1 else enumerate_triples(p2, disc)  # one object twice, as --single-cell
-    q = JointCountQuery(p1_idx=p1, p2_idx=p2, eps_max_idx=eps_idx)
     naive = naive_joint_count(
         {tuple(r) for r in s1.triples}, {tuple(r) for r in s2.triples}, eps_idx
     )
-    assert count_joint(q, (s1, s2), disc) == naive
+    assert count_joint((s1, s2), eps_idx) == naive
     if eps_idx >= n:
         assert naive == len(s1) * len(s2)
     if window == (19, 19):
@@ -75,28 +74,27 @@ def test_count_joint_memory_grows_with_triples_not_n_cubed():
     # one dense (n+2)^3 int64 table at n=300 alone would take 210 MiB
     disc = Discretization(n=300)
     s1, s2 = enumerate_triples(150, disc), enumerate_triples(149, disc)
-    q = JointCountQuery(p1_idx=150, p2_idx=149, eps_max_idx=15)
     tracemalloc.start()
     try:
-        count_joint(q, (s1, s2), disc)
+        count_joint((s1, s2), 15)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
 
 
-def test_count_joint_rejects_mismatched_sets():
-    disc = Discretization(n=10)
-    s1, s2 = enumerate_triples(3, disc), enumerate_triples(4, disc)
-    q = JointCountQuery(p1_idx=3, p2_idx=5, eps_max_idx=1)
-    with pytest.raises(MismatchedSets):
-        count_joint(q, (s1, s2), disc)
-
-
 def test_prevalence_grid_excludes_edges():
     disc = Discretization(n=100)
     grid = prevalence_grid(disc, 0.01)
     assert grid[0] == 1 and grid[-1] == 99 and len(grid) == 99
+    assert prevalence_grid(Discretization(n=10), 0.01) == list(range(1, 10))  # rounds up to 1
+
+
+@pytest.mark.parametrize("step", [0.0, -0.0, -1.0, 1.0, 2.0, 0.96, math.inf, -math.inf, math.nan])
+def test_prevalence_grid_rejects_step_outside_unit_interval(step):
+    # 0.96 lies in (0, 1) but rounds to 10 indices at n=10: no prevalence left
+    with pytest.raises(ValueError):
+        prevalence_grid(Discretization(n=10), step)
 
 
 def test_heatmap_symmetry_and_total():
@@ -123,12 +121,26 @@ def test_heatmap_monotone_in_eps():
 
 
 def test_ppv_window_restricts_counts():
-    disc = Discretization(n=20)
-    full = heatmap(disc, eps_max=0.05, p_grid_step=0.05).total
+    full = heatmap(Discretization(n=20), eps_max=0.05, p_grid_step=0.05).total
     windowed = heatmap(
-        disc, eps_max=0.05, p_grid_step=0.05, ppv_window=(10, 15)
+        Discretization(n=20, v_range=(10, 15)), eps_max=0.05, p_grid_step=0.05
     ).total
     assert 0 < windowed < full
+
+
+def test_binned_counts_match_filtered_oracle():
+    disc = Discretization(n=20)
+    bins = ((0, 6), (7, 12), (15, 19))  # v 13 and 14 fall in no bin
+    oracle_sets = {p: naive_triples(p, disc) for p in prevalence_grid(disc, 0.01)}
+    for eps_idx in (0, 1, 3):
+        expected = []
+        for lo, hi in bins:
+            in_bin = {p: {t for t in s if lo <= t[2] <= hi} for p, s in oracle_sets.items()}
+            expected.append(
+                sum(naive_joint_count(in_bin[p1], in_bin[p2], eps_idx) for p1 in in_bin for p2 in in_bin)
+            )
+        assert ppv_binned_counts(disc, eps_idx / 20, bins=bins) == expected
+        assert ppv_binned_counts(disc, eps_idx / 20, bins=bins[::-1]) == expected[::-1]
 
 
 def test_binned_counts_reject_overlap():
