@@ -16,20 +16,14 @@ from .data import (
     group_stats,
     intersection_bracketing_check,
     load_csv,
-    save_csv,
     stratified_sample,
 )
 from .errors import FairfeasError
 from .metrics import (
-    ConfusionCounts,
     GroupCounts,
     MetricPoint,
-    ScoredItem,
     expected_ppv_at_k,
     max_pairwise_prevalence_diff,
-    pooled_prevalence,
-    rates_from_counts,
-    topk_select,
 )
 from .planimeter import (
     CurveFamily,
@@ -81,7 +75,6 @@ __all__ = [
     "BracketingReport",
     "Cohort",
     "CohortStats",
-    "ConfusionCounts",
     "CurveFamily",
     "DetectorGrid",
     "Discretization",
@@ -98,7 +91,6 @@ __all__ = [
     "PpvRelaxation",
     "PrevalenceHeatmap",
     "RegionSpec",
-    "ScoredItem",
     "SelectionInstance",
     "SelectionResult",
     "TableSchema",
@@ -118,17 +110,13 @@ __all__ = [
     "load_csv",
     "max_pairwise_prevalence_diff",
     "offset_bounds",
-    "pooled_prevalence",
     "ppv_binned_counts",
-    "rates_from_counts",
     "relaxed_fnr_acc",
     "relaxed_fnr_ppv",
     "required_grid_size",
     "residual_acc_balance",
     "residual_ppv_balance",
-    "save_csv",
     "solve_exact",
     "stratified_sample",
-    "topk_select",
     "unconstrained_max_tp",
 ]

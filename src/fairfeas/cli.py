@@ -72,6 +72,8 @@ def cmd_region(args) -> int:
     if args.single_cell:
         if args.p1 is None or args.p2 is None:
             raise FairfeasError("--single-cell requires --p1 and --p2")
+        if not 0.0 <= args.eps <= 1.0:
+            raise ValueError(f"--eps must lie in [0, 1], got {args.eps}")
         p1 = _grid_index("--p1", args.p1, args.n)
         p2 = _grid_index("--p2", args.p2, args.n)
         eps_idx = _grid_index("--eps", args.eps, args.n)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (
     EmptyFile,
-    EmptyGroup,
     MissingColumn,
     MissingValue,
     TargetTooLarge,
@@ -45,28 +45,41 @@ class TableSchema:
         """Load from {"label": ..., "positive": ..., "sensitive": [...], "id": ...}."""
         with open(path) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"schema {path} must be a JSON object")
+        for key in ("label", "positive", "sensitive"):
+            if key not in cfg:
+                raise ValueError(f"schema {path} has no {key!r} key")
+        label, sensitive = cfg["label"], cfg["sensitive"]
+        if not isinstance(label, str):
+            raise ValueError(f"schema {path}: 'label' must be a column name, got {label!r}")
+        if not isinstance(sensitive, list) or not all(isinstance(c, str) for c in sensitive):
+            raise ValueError(
+                f"schema {path}: 'sensitive' must be a list of column names, got {sensitive!r}"
+            )
         return cls(
-            label_column=cfg["label"],
+            label_column=label,
             positive_value=str(cfg["positive"]),
-            sensitive_columns=tuple(cfg["sensitive"]),
+            sensitive_columns=tuple(sensitive),
             id_column=cfg.get("id"),
         )
 
 
 @dataclass(frozen=True)
-class Row:
-    label: int
-    group_values: tuple[str, ...]
-    row_ordinal: int
-
-
-@dataclass(frozen=True)
 class Cohort:
-    rows: tuple[Row, ...]
+    """Rows stored as columns; the row ordinal is the index into both.
+
+    ``labels[i]`` is 1 for a positive row and 0 otherwise;
+    ``group_values[i]`` holds row i's sensitive values in schema order.
+    Rows with the same values share one tuple object.
+    """
+
+    labels: bytes
+    group_values: tuple[tuple[str, ...], ...]
     schema: TableSchema
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -79,12 +92,19 @@ class GroupingSpec:
         if not self.columns:
             raise ValueError("grouping needs at least one column")
 
-    def key_for(self, row: Row, schema: TableSchema) -> str:
-        parts = []
-        for col in schema.sensitive_columns:  # schema order, not request order
-            if col in self.columns:
-                parts.append(row.group_values[schema.sensitive_columns.index(col)])
-        return KEY_SEPARATOR.join(parts)
+    def keys(self, cohort: Cohort) -> dict[tuple[str, ...], str]:
+        """Group key of each distinct value tuple, columns in schema order."""
+        sensitive = cohort.schema.sensitive_columns
+        unknown = [col for col in self.columns if col not in sensitive]
+        if unknown:
+            raise ValueError(
+                f"grouping columns {unknown} are not sensitive columns {list(sensitive)}"
+            )
+        picks = [i for i, col in enumerate(sensitive) if col in self.columns]
+        return {
+            values: KEY_SEPARATOR.join(values[i] for i in picks)
+            for values in set(cohort.group_values)
+        }
 
 
 @dataclass(frozen=True)
@@ -104,7 +124,9 @@ def load_csv(path, schema: TableSchema) -> Cohort:
     needed = [schema.label_column, *schema.sensitive_columns]
     if schema.id_column:
         needed.append(schema.id_column)
-    rows = []
+    labels = bytearray()
+    group_values = []
+    interned: dict[tuple, tuple[str, ...]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -113,57 +135,45 @@ def load_csv(path, schema: TableSchema) -> Cohort:
             if col not in reader.fieldnames:
                 raise MissingColumn(f"column {col!r} not in {path}")
         for i, rec in enumerate(reader):
-            values = []
-            for col in schema.sensitive_columns:
-                v = rec.get(col)
-                if v is None or v == "":
-                    raise MissingValue(i, col)
-                if KEY_SEPARATOR in v:
-                    raise ValueError(
-                        f"sensitive value {v!r} at row {i} contains the "
-                        f"reserved separator {KEY_SEPARATOR!r}"
-                    )
-                values.append(v)
+            values = tuple(rec.get(col) for col in schema.sensitive_columns)
+            shared = interned.get(values)
+            if shared is None:
+                # a bad value is never interned, so the first row holding
+                # one is always checked here
+                for col, v in zip(schema.sensitive_columns, values):
+                    if v is None or v == "":
+                        raise MissingValue(i, col)
+                    if KEY_SEPARATOR in v:
+                        raise ValueError(
+                            f"sensitive value {v!r} at row {i} contains the "
+                            f"reserved separator {KEY_SEPARATOR!r}"
+                        )
+                shared = interned[values] = values
             label_cell = rec.get(schema.label_column)
             if label_cell is None or label_cell == "":
                 raise MissingValue(i, schema.label_column)
-            label = 1 if label_cell == schema.positive_value else 0
-            rows.append(Row(label=label, group_values=tuple(values), row_ordinal=i))
-    if not rows:
+            labels.append(1 if label_cell == schema.positive_value else 0)
+            group_values.append(shared)
+    if not labels:
         raise EmptyFile(f"{path} has no data rows")
-    return Cohort(rows=tuple(rows), schema=schema)
-
-
-def save_csv(cohort: Cohort, path) -> None:
-    """Write label and sensitive columns back out (lossless round trip)."""
-    schema = cohort.schema
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([schema.label_column, *schema.sensitive_columns])
-        for row in cohort.rows:
-            label = schema.positive_value if row.label == 1 else f"not-{schema.positive_value}"
-            w.writerow([label, *row.group_values])
+    return Cohort(labels=bytes(labels), group_values=tuple(group_values), schema=schema)
 
 
 def group_stats(cohort: Cohort, grouping: GroupingSpec) -> CohortStats:
     """Per-group sizes, prevalences, distribution, and max pairwise diff."""
+    key_of = grouping.keys(cohort)
     tallies: dict[str, list[int]] = {}
-    for row in cohort.rows:
-        key = grouping.key_for(row, cohort.schema)
-        n_pos = tallies.setdefault(key, [0, 0])
-        n_pos[0] += 1
-        n_pos[1] += row.label
+    for (values, label), count in Counter(zip(cohort.group_values, cohort.labels)).items():
+        n_pos = tallies.setdefault(key_of[values], [0, 0])
+        n_pos[0] += count
+        n_pos[1] += label * count
     groups = tuple(
         GroupCounts(group_key=k, n=v[0], p_count=v[1]) for k, v in sorted(tallies.items())
     )
-    for g in groups:
-        if g.n == 0:
-            raise EmptyGroup(g.group_key)
     total = len(cohort)
-    positives = sum(r.label for r in cohort.rows)
     return CohortStats(
         groups=groups,
-        overall_prevalence=positives / total,
+        overall_prevalence=sum(cohort.labels) / total,
         distribution_pct={g.group_key: 100.0 * g.n / total for g in groups},
         max_prevalence_diff=(
             max_pairwise_prevalence_diff(groups) if len(groups) >= 2 else None
@@ -198,12 +208,8 @@ def intersection_bracketing_check(
     coarse = group_stats(cohort, single)
     fine = group_stats(cohort, intersected)
 
-    # map each fine group to its coarse parent by re-deriving keys per row
-    parents: dict[str, str] = {}
-    for row in cohort.rows:
-        parents[intersected.key_for(row, cohort.schema)] = single.key_for(
-            row, cohort.schema
-        )
+    coarse_key = single.keys(cohort)
+    parents = {fine: coarse_key[values] for values, fine in intersected.keys(cohort).items()}
     # rationals: float prevalences and their differences can be off by an ulp
     children: dict[str, list[Fraction]] = {}
     for g in fine.groups:
@@ -231,12 +237,16 @@ def stratified_sample(
     lands within one row of its exact proportional share; rows within a
     stratum are chosen by a seeded shuffle.
     """
+    if target_n < 1:
+        raise ValueError(f"target_n={target_n} must be at least 1")
     total = len(cohort)
     if target_n > total:
         raise TargetTooLarge(f"target_n={target_n} exceeds cohort size {total}")
-    strata: dict[tuple[str, int], list[Row]] = {}
-    for row in cohort.rows:
-        strata.setdefault((grouping.key_for(row, cohort.schema), row.label), []).append(row)
+    key_of = grouping.keys(cohort)
+    # ordinals in row order: a shuffle's draws depend only on list length
+    strata: dict[tuple[str, int], list[int]] = {}
+    for i, (values, label) in enumerate(zip(cohort.group_values, cohort.labels)):
+        strata.setdefault((key_of[values], label), []).append(i)
 
     keys = sorted(strata.keys())
     quotas = {k: target_n * len(strata[k]) / total for k in keys}
@@ -247,10 +257,14 @@ def stratified_sample(
         base[k] += 1
 
     rng = random.Random(seed)
-    chosen: list[Row] = []
+    chosen: list[int] = []
     for k in keys:
-        rows = list(strata[k])
-        rng.shuffle(rows)
-        chosen.extend(rows[: base[k]])
-    chosen.sort(key=lambda r: r.row_ordinal)
-    return Cohort(rows=tuple(chosen), schema=cohort.schema)
+        ordinals = strata[k]
+        rng.shuffle(ordinals)
+        chosen.extend(ordinals[: base[k]])
+    chosen.sort()
+    return Cohort(
+        labels=bytes(cohort.labels[i] for i in chosen),
+        group_values=tuple(cohort.group_values[i] for i in chosen),
+        schema=cohort.schema,
+    )

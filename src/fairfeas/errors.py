@@ -5,10 +5,6 @@ class FairfeasError(Exception):
     """Base class for all package errors."""
 
 
-class EmptyCounts(FairfeasError):
-    """Confusion counts sum to zero."""
-
-
 class KOutOfRange(FairfeasError):
     """k is outside [1, n]."""
 
@@ -60,10 +56,6 @@ class MissingValue(FairfeasError):
 
 class EmptyFile(FairfeasError):
     """CSV file has no data rows."""
-
-
-class EmptyGroup(FairfeasError):
-    """A group produced by the grouping spec contains no rows."""
 
 
 class TargetTooLarge(FairfeasError):

@@ -1,8 +1,7 @@
-"""Confusion-matrix metrics, top-k thresholding, and prevalence arithmetic.
+"""Group rate vectors, group prevalences, and precision at k.
 
-All rates are computed in double precision from exact integer counts.
-Rates whose defining denominator is zero are reported as ``None``
-(undefined) rather than 0 or NaN; callers must branch on that.
+Undefined rates are reported as ``None`` rather than 0 or NaN; callers
+must branch on that.
 """
 
 from __future__ import annotations
@@ -10,27 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import EmptyCounts, KOutOfRange, NotSorted, TooFewGroups
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Integer TP/FP/TN/FN counts for one group."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self):
-        for name in ("tp", "fp", "tn", "fn"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
+from .errors import KOutOfRange, NotSorted, TooFewGroups
 
 
 @dataclass(frozen=True)
@@ -63,49 +42,6 @@ class GroupCounts:
         return self.p_count / self.n
 
 
-@dataclass(frozen=True)
-class ScoredItem:
-    """A scored observation with its binary label and original position."""
-
-    score: float
-    label: int
-    index: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
-
-
-def _ratio(num: int, den: int) -> Optional[float]:
-    return num / den if den > 0 else None
-
-
-def rates_from_counts(c: ConfusionCounts) -> MetricPoint:
-    """Derive (FPR, FNR, PPV, ACC, prevalence) from integer counts.
-
-    Raises EmptyCounts when all four counts are zero.
-    """
-    total = c.total
-    if total == 0:
-        raise EmptyCounts("confusion counts sum to zero")
-    return MetricPoint(
-        fpr=_ratio(c.fp, c.fp + c.tn),
-        fnr=_ratio(c.fn, c.fn + c.tp),
-        ppv=_ratio(c.tp, c.tp + c.fp),
-        acc=(c.tp + c.tn) / total,
-        prevalence=(c.tp + c.fn) / total,
-    )
-
-
-def topk_select(items: Sequence[ScoredItem], k: int) -> set[int]:
-    """Indices of the k highest-scoring items; ties broken by lower index."""
-    n = len(items)
-    if k < 1 or k > n:
-        raise KOutOfRange(f"k={k} outside [1, {n}]")
-    order = sorted(items, key=lambda it: (-it.score, it.index))
-    return {it.index for it in order[:k]}
-
-
 def expected_ppv_at_k(calibrated_probs: Sequence[float], k: int) -> float:
     """Mean of the first k entries of a non-increasing probability list."""
     n = len(calibrated_probs)
@@ -115,14 +51,6 @@ def expected_ppv_at_k(calibrated_probs: Sequence[float], k: int) -> float:
         if b > a:
             raise NotSorted("probabilities must be non-increasing")
     return sum(calibrated_probs[:k]) / k
-
-
-def pooled_prevalence(a: GroupCounts, b: GroupCounts) -> float:
-    """Prevalence of the union of two groups.
-
-    Always lies between the two group prevalences.
-    """
-    return (a.p_count + b.p_count) / (a.n + b.n)
 
 
 def max_pairwise_prevalence_diff(groups: Sequence[GroupCounts]) -> float:

@@ -4,18 +4,26 @@ These deliberately avoid the library's own code paths: the triple
 oracle checks the defining relation with exact Fractions, the selection
 oracle enumerates every C(n, k) item subset, the reference solver is the
 group-count search in Fraction arithmetic that the integer solver must
-reproduce allocation for allocation, and the planimeter oracle measures
-every detector against every curve point.
+reproduce allocation for allocation, the planimeter oracle measures
+every detector against every curve point, and the row-based loader and
+sampler are the per-row data layer that the columnar one must reproduce
+row for row.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+
+from fairfeas.data import KEY_SEPARATOR
+from fairfeas.errors import EmptyFile, MissingColumn, MissingValue, TargetTooLarge
 
 from fairfeas.selection import (
     GroupAllocation,
@@ -301,3 +309,82 @@ def brute_force_mask(grid, fam, fill="curve-only", sample_step=None, radius=None
             y_at = np.asarray(fam.evaluator(axis, theta), dtype=float)[:, None]  # per ix
             satisfied |= axis <= y_at if fill == "below" else axis >= y_at
     return satisfied
+
+
+@dataclass(frozen=True)
+class Row:
+    label: int
+    group_values: tuple[str, ...]
+    row_ordinal: int
+
+
+def _key_for(columns, row: Row, schema) -> str:
+    parts = []
+    for col in schema.sensitive_columns:  # schema order, not request order
+        if col in columns:
+            parts.append(row.group_values[schema.sensitive_columns.index(col)])
+    return KEY_SEPARATOR.join(parts)
+
+
+def reference_load_csv(path, schema) -> tuple[Row, ...]:
+    """One DictReader record and one Row per data row, every cell checked."""
+    needed = [schema.label_column, *schema.sensitive_columns]
+    if schema.id_column:
+        needed.append(schema.id_column)
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise EmptyFile(f"{path} has no header row")
+        for col in needed:
+            if col not in reader.fieldnames:
+                raise MissingColumn(f"column {col!r} not in {path}")
+        for i, rec in enumerate(reader):
+            values = []
+            for col in schema.sensitive_columns:
+                v = rec.get(col)
+                if v is None or v == "":
+                    raise MissingValue(i, col)
+                if KEY_SEPARATOR in v:
+                    raise ValueError(
+                        f"sensitive value {v!r} at row {i} contains the "
+                        f"reserved separator {KEY_SEPARATOR!r}"
+                    )
+                values.append(v)
+            label_cell = rec.get(schema.label_column)
+            if label_cell is None or label_cell == "":
+                raise MissingValue(i, schema.label_column)
+            label = 1 if label_cell == schema.positive_value else 0
+            rows.append(Row(label=label, group_values=tuple(values), row_ordinal=i))
+    if not rows:
+        raise EmptyFile(f"{path} has no data rows")
+    return tuple(rows)
+
+
+def reference_stratified_sample(
+    rows: tuple[Row, ...], schema, columns, target_n: int, seed: int
+) -> tuple[Row, ...]:
+    """Stratified sample that shuffles each stratum's Row objects."""
+    total = len(rows)
+    if target_n > total:
+        raise TargetTooLarge(f"target_n={target_n} exceeds cohort size {total}")
+    strata: dict[tuple[str, int], list[Row]] = {}
+    for row in rows:
+        strata.setdefault((_key_for(columns, row, schema), row.label), []).append(row)
+
+    keys = sorted(strata.keys())
+    quotas = {k: target_n * len(strata[k]) / total for k in keys}
+    base = {k: int(quotas[k]) for k in keys}
+    leftover = target_n - sum(base.values())
+    by_remainder = sorted(keys, key=lambda k: (-(quotas[k] - base[k]), k))
+    for k in by_remainder[:leftover]:
+        base[k] += 1
+
+    rng = random.Random(seed)
+    chosen: list[Row] = []
+    for k in keys:
+        stratum = list(strata[k])
+        rng.shuffle(stratum)
+        chosen.extend(stratum[: base[k]])
+    chosen.sort(key=lambda r: r.row_ordinal)
+    return tuple(chosen)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fairfeas.data import Cohort, GroupingSpec, Row, TableSchema, intersection_bracketing_check
+from fairfeas.data import Cohort, GroupingSpec, TableSchema, intersection_bracketing_check
 from fairfeas.errors import SingularDenominator
 from fairfeas.metrics import expected_ppv_at_k
 from fairfeas.planimeter import (
@@ -264,16 +264,12 @@ def test_criterion_7_intersectionality_property():
     ok = True
     for _ in range(1000):
         size = rng.randint(4, 60)
-        rows = []
-        for i in range(size):
-            rows.append(
-                Row(
-                    label=rng.randint(0, 1),
-                    group_values=(rng.choice("xyz"), rng.choice("uv")),
-                    row_ordinal=i,
-                )
-            )
-        cohort = Cohort(rows=tuple(rows), schema=SCHEMA)
+        labels, group_values = bytearray(), []
+        for _ in range(size):
+            # draw order per row: label, then the two values
+            labels.append(rng.randint(0, 1))
+            group_values.append((rng.choice("xyz"), rng.choice("uv")))
+        cohort = Cohort(labels=bytes(labels), group_values=tuple(group_values), schema=SCHEMA)
         report = intersection_bracketing_check(
             cohort, GroupingSpec(columns=("a",)), GroupingSpec(columns=("a", "b"))
         )

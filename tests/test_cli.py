@@ -129,6 +129,8 @@ REGION_USAGE_ERRORS = [
     ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--eps", "1e308"),  # finite, eps * n is not
     ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--eps", "nan"),
     ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--eps", "-0.5"),
+    ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--eps=-0.04"),  # rounds to index 0
+    ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--eps", "3"),
     ("--single-cell", "--p1", "inf", "--p2", "0.5"),
     ("--single-cell", "--p1", "0.5", "--p2=-inf"),
     ("--single-cell", "--p1", "0.5", "--p2", "0.5", "--ppv-min", "inf"),
@@ -247,6 +249,48 @@ def test_analyze_missing_column_usage_error(tmp_path, capsys):
     assert "MissingColumn" in err
 
 
+# grouping columns must be sensitive columns and a sample must hold a
+# row; each case is a usage error raised before the report is printed
+ANALYZE_USAGE_ERRORS = [
+    ("--grouping", "nope"),
+    ("--grouping", "sex", "--intersect", "sex,nope"),
+    ("--grouping", "sex", "--sample-n", "0"),
+    ("--grouping", "sex", "--sample-n", "-1"),
+]
+
+
+@pytest.mark.parametrize("flags", ANALYZE_USAGE_ERRORS, ids=" ".join)
+def test_analyze_rejects_unusable_values(flags, tmp_path, capsys):
+    src, schema = write_fixture(tmp_path, [["pos", "F", "u"], ["neg", "M", "r"]] * 3)
+    code, out, err = run(
+        capsys, "analyze", "--csv", str(src), "--schema", str(schema), "--k-grid", "50", *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "internal" not in err
+    assert "nope" in err or "--sample-n" in flags
+
+
+@pytest.mark.parametrize(
+    "cfg,named",
+    [
+        ({"positive": "pos", "sensitive": ["sex"]}, "'label'"),
+        ([{"label": "outcome", "positive": "pos", "sensitive": ["sex"]}], "JSON object"),
+        ({"label": "outcome", "positive": "pos", "sensitive": 5}, "'sensitive'"),
+    ],
+    ids=["missing label", "top-level array", "sensitive not a list"],
+)
+def test_analyze_malformed_schema_usage_error(cfg, named, tmp_path, capsys):
+    src, schema = write_fixture(tmp_path, [["pos", "F", "u"], ["neg", "M", "r"]])
+    schema.write_text(json.dumps(cfg))
+    code, out, err = run(
+        capsys, "analyze", "--csv", str(src), "--schema", str(schema), "--grouping", "sex"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ValueError: ") and named in err
+
+
 def test_analyze_single_k_infeasible_exit_code(tmp_path, capsys):
     # k = 100% with cap 0.7 but prevalence 0.9: padding negatives run out
     rows = [["pos", "F", "u"]] * 18 + [["neg", "F", "u"]] * 2
@@ -352,8 +396,9 @@ K_GRID_TEXT = st.one_of(
     lb=LB_TEXT,
     ub=UB_TEXT,
     k_grid=K_GRID_TEXT,
+    sample_n=st.one_of(st.none(), st.integers(-3, 35)),
 )
-def test_analyze_fuzz_exits_cleanly(rows, cap, lb, ub, k_grid):
+def test_analyze_fuzz_exits_cleanly(rows, cap, lb, ub, k_grid, sample_n):
     # whatever the flags, a run ends with 0, 1 or 2 and at most one
     # error line; an exception escaping main() fails the test outright
     with tempfile.TemporaryDirectory() as tmp:
@@ -361,12 +406,14 @@ def test_analyze_fuzz_exits_cleanly(rows, cap, lb, ub, k_grid):
         code, out, err = run_argv([
             "analyze", "--csv", str(src), "--schema", str(schema), "--grouping", "sex",
             f"--cap={cap}", f"--lb={lb}", f"--ub={ub}", f"--k-grid={k_grid}",
-        ])
+        ] + flag_args(sample_n=sample_n))
     assert code in (0, 1, 2)
     assert sum("error:" in line for line in err.splitlines()) == (code == 2)
     assert "Traceback" not in err
     if code != 2:
-        assert json.loads(out)["k_scan"]["rows"]
+        report = json.loads(out)
+        assert report["k_scan"]["rows"]
+        assert report["n"] == (len(rows) if sample_n is None else sample_n)
 
 
 def assert_clean_exit(code, out, err, parse):

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from fairfeas.data import (
     Cohort,
     GroupingSpec,
-    Row,
     TableSchema,
     group_stats,
     intersection_bracketing_check,
     load_csv,
-    save_csv,
     stratified_sample,
 )
+from helpers import Row, reference_load_csv, reference_stratified_sample
+
 from fairfeas.errors import (
     EmptyFile,
     MissingColumn,
@@ -35,26 +35,30 @@ def write_csv(path, rows, header="outcome,sex,region"):
 def make_cohort(rows):
     """rows: list of (label, sex, region)."""
     return Cohort(
-        rows=tuple(
-            Row(label=lab, group_values=(sex, region), row_ordinal=i)
-            for i, (lab, sex, region) in enumerate(rows)
-        ),
+        labels=bytes(lab for lab, _, _ in rows),
+        group_values=tuple((sex, region) for _, sex, region in rows),
         schema=SCHEMA,
     )
 
 
 def test_load_and_round_trip(tmp_path):
     src = tmp_path / "in.csv"
-    write_csv(src, ["pos,F,urban", "neg,M,rural", "pos,M,urban"])
+    write_csv(src, ["pos,F,urban", "neg,M,rural", "pos,M,urban", "neg,F,urban"])
     cohort = load_csv(src, SCHEMA)
-    assert len(cohort) == 3
-    assert [r.label for r in cohort.rows] == [1, 0, 1]
+    assert len(cohort) == 4
+    assert cohort.labels == bytes([1, 0, 1, 0])
+    assert cohort.group_values == (("F", "urban"), ("M", "rural"), ("M", "urban"), ("F", "urban"))
+    assert cohort.group_values[0] is cohort.group_values[3]  # one tuple per combination
 
     out = tmp_path / "out.csv"
-    save_csv(cohort, out)
-    again = load_csv(out, SCHEMA)
-    assert [r.label for r in again.rows] == [r.label for r in cohort.rows]
-    assert [r.group_values for r in again.rows] == [r.group_values for r in cohort.rows]
+    write_csv(
+        out,
+        [
+            ",".join(["pos" if lab else "neg", *values])
+            for lab, values in zip(cohort.labels, cohort.group_values)
+        ],
+    )
+    assert load_csv(out, SCHEMA) == cohort
 
 
 def test_load_missing_column(tmp_path):
@@ -160,18 +164,19 @@ def test_refinement_never_shrinks_prevalence_spread(rows):
 
 def test_stratified_sample_sizes_and_determinism():
     rng = random.Random(1)
+    # a distinct region per row, so equal cohorts hold the same rows
     rows = [
-        (1 if rng.random() < 0.3 else 0, rng.choice(["F", "M"]), "u")
-        for _ in range(200)
+        (1 if rng.random() < 0.3 else 0, rng.choice(["F", "M"]), f"r{i}")
+        for i in range(200)
     ]
     cohort = make_cohort(rows)
     grouping = GroupingSpec(columns=("sex",))
     sample = stratified_sample(cohort, grouping, target_n=50, seed=7)
     assert len(sample) == 50
     again = stratified_sample(cohort, grouping, target_n=50, seed=7)
-    assert sample.rows == again.rows
+    assert sample == again
     other = stratified_sample(cohort, grouping, target_n=50, seed=8)
-    assert sample.rows != other.rows
+    assert sample != other
 
 
 def test_stratified_sample_preserves_proportions():
@@ -189,3 +194,115 @@ def test_stratified_sample_target_too_large():
     cohort = make_cohort([(1, "F", "u"), (0, "M", "r")])
     with pytest.raises(TargetTooLarge):
         stratified_sample(cohort, GroupingSpec(columns=("sex",)), 3, seed=0)
+
+
+@pytest.mark.parametrize("target_n", [0, -1])
+def test_stratified_sample_target_below_one(target_n):
+    cohort = make_cohort([(1, "F", "u"), (0, "M", "r")])
+    with pytest.raises(ValueError, match="at least 1"):
+        stratified_sample(cohort, GroupingSpec(columns=("sex",)), target_n, seed=0)
+
+
+# each file holds the edge cases DictReader settles: a blank line, a
+# short row, an extra field, a quoted comma and CRLF endings; "b"
+# repeats in the header, so its last column is the one read
+EDGE_HEADER = "outcome,b,a,b,note"
+EDGE_LINES = [
+    "pos,q,x,y,n1",
+    "",
+    "neg,q,x,y",  # short: note is read as None
+    'neg,"q,1","x,1",z,"n,2"',
+    "pos,q,x,y,n3,extra,fields",
+    "neg,,x2,v,n4",  # the first b is empty but unread
+]
+DIFF_SCHEMA = TableSchema(
+    label_column="outcome", positive_value="pos", sensitive_columns=("a", "b")
+)
+
+
+def edge_case_csv(path, seed, crlf):
+    """Drawn rows with the edge lines spliced in at drawn places."""
+    rng = random.Random(seed)
+    lines = [
+        f"{rng.choice(['pos', 'neg'])},q,{rng.choice(['x', 'x2', 'x3'])},{rng.choice('uvw')},n"
+        for _ in range(rng.randint(30, 120))
+    ]
+    for line in EDGE_LINES:
+        lines.insert(rng.randint(0, len(lines)), line)
+    eol = "\r\n" if crlf else "\n"
+    path.write_bytes((eol.join([EDGE_HEADER, *lines]) + eol).encode())
+
+
+def outcome(fn, *args):
+    """A call's result, or the type, message and row of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+@pytest.mark.parametrize("crlf", [False, True])
+@pytest.mark.parametrize("file_seed", range(4))
+def test_columnar_loader_and_sampler_match_row_oracle(file_seed, crlf, tmp_path):
+    src = tmp_path / "edge.csv"
+    edge_case_csv(src, file_seed, crlf)
+    rows = reference_load_csv(src, DIFF_SCHEMA)
+    cohort = load_csv(src, DIFF_SCHEMA)
+    assert cohort.labels == bytes(r.label for r in rows)
+    assert cohort.group_values == tuple(r.group_values for r in rows)
+    # one shared tuple per distinct combination
+    assert len({id(v) for v in cohort.group_values}) == len(set(cohort.group_values))
+
+    for columns in [("a",), ("a", "b"), ("b",)]:
+        for seed in range(8):
+            target_n = random.Random(seed).randint(1, len(rows))
+            expected = reference_stratified_sample(rows, DIFF_SCHEMA, columns, target_n, seed)
+            got = stratified_sample(cohort, GroupingSpec(columns), target_n, seed)
+            assert got.labels == bytes(r.label for r in expected)
+            assert got.group_values == tuple(r.group_values for r in expected)
+
+
+def test_sampled_rows_match_row_oracle_by_ordinal():
+    """With the row ordinal as a sensitive value, each chosen row is named."""
+    schema = TableSchema(
+        label_column="outcome", positive_value="pos", sensitive_columns=("a", "b", "rid")
+    )
+    rng = random.Random(3)
+    records = [
+        (rng.random() < 0.3, rng.choice("xyz"), rng.choice("uv")) for _ in range(400)
+    ]
+    cohort = Cohort(
+        labels=bytes(lab for lab, _, _ in records),
+        group_values=tuple((a, b, str(i)) for i, (_, a, b) in enumerate(records)),
+        schema=schema,
+    )
+    rows = tuple(
+        Row(label=lab, group_values=values, row_ordinal=i)
+        for i, (lab, values) in enumerate(zip(cohort.labels, cohort.group_values))
+    )
+    for columns in [("a",), ("a", "b"), ("b",)]:
+        for seed in range(8):
+            expected = reference_stratified_sample(rows, schema, columns, 60, seed)
+            got = stratified_sample(cohort, GroupingSpec(columns), 60, seed)
+            assert [v[2] for v in got.group_values] == [str(r.row_ordinal) for r in expected]
+
+
+BAD_EDGE_FILES = [
+    # the bad value sits in a combination seen before, then in a new one
+    ("pos,x,y\nneg,x,y\nneg,,y\n", "first new tuple with an empty cell"),
+    ("pos,x,y\nneg,x\n", "short row reads None"),
+    ('pos,x,y\nneg,"x|1",y\n', "separator"),
+    ("pos,x,y\n,x,y\n", "label missing on a seen combination"),
+    ("pos,x,y\n,,y\n", "label and value missing: the value is reported"),
+    ("pos,x,\nneg,x,y\n", "empty last cell on the first row"),
+    ("\n\n", "blank lines only"),
+]
+
+
+@pytest.mark.parametrize("body,case", BAD_EDGE_FILES, ids=[c for _, c in BAD_EDGE_FILES])
+def test_columnar_loader_raises_like_row_oracle(body, case, tmp_path):
+    src = tmp_path / "bad.csv"
+    src.write_text("outcome,a,b\n" + body)
+    expected = outcome(reference_load_csv, src, DIFF_SCHEMA)
+    assert isinstance(expected, tuple) and isinstance(expected[0], type)
+    assert outcome(load_csv, src, DIFF_SCHEMA) == expected

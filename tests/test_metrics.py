@@ -4,88 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairfeas.errors import EmptyCounts, KOutOfRange, NotSorted, TooFewGroups
-from fairfeas.metrics import (
-    ConfusionCounts,
-    GroupCounts,
-    ScoredItem,
-    expected_ppv_at_k,
-    max_pairwise_prevalence_diff,
-    pooled_prevalence,
-    rates_from_counts,
-    topk_select,
-)
-
-counts_st = st.builds(
-    ConfusionCounts,
-    tp=st.integers(0, 500),
-    fp=st.integers(0, 500),
-    tn=st.integers(0, 500),
-    fn=st.integers(0, 500),
-).filter(lambda c: c.total > 0)
-
-
-def test_rates_from_known_counts():
-    m = rates_from_counts(ConfusionCounts(tp=30, fp=10, tn=40, fn=20))
-    assert m.ppv == 0.75
-    assert m.fpr == 0.2
-    assert m.fnr == 0.4
-    assert m.acc == 0.7
-    assert m.prevalence == 0.5
-
-
-def test_undefined_rates_are_none():
-    m = rates_from_counts(ConfusionCounts(tp=0, fp=0, tn=5, fn=0))
-    assert m.ppv is None
-    assert m.fnr is None
-    assert m.fpr == 0.0
-
-
-def test_empty_counts_raise():
-    with pytest.raises(EmptyCounts):
-        rates_from_counts(ConfusionCounts(tp=0, fp=0, tn=0, fn=0))
-
-
-def test_negative_count_rejected():
-    with pytest.raises(ValueError):
-        ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
-
-
-@given(counts_st)
-def test_fpr_ppv_fnr_relation(c):
-    """FPR = (p/(1-p)) ((1-PPV)/PPV) (1-FNR) whenever all terms exist."""
-    m = rates_from_counts(c)
-    if None in (m.fpr, m.fnr, m.ppv) or m.prevalence in (0.0, 1.0) or m.ppv == 0.0:
-        return
-    implied = (
-        (m.prevalence / (1 - m.prevalence)) * ((1 - m.ppv) / m.ppv) * (1 - m.fnr)
-    )
-    assert math.isclose(m.fpr, implied, abs_tol=1e-12)
-
-
-@given(counts_st)
-def test_acc_is_prevalence_weighted_rates(c):
-    m = rates_from_counts(c)
-    if m.fnr is None or m.fpr is None:
-        return
-    mix = (1 - m.fnr) * m.prevalence + (1 - m.fpr) * (1 - m.prevalence)
-    assert math.isclose(m.acc, mix, abs_tol=1e-12)
-
-
-def test_topk_selects_highest_scores():
-    items = [
-        ScoredItem(0.9, 1, 0),
-        ScoredItem(0.2, 0, 1),
-        ScoredItem(0.8, 1, 2),
-        ScoredItem(0.8, 0, 3),
-    ]
-    assert topk_select(items, 2) == {0, 2}
-    assert topk_select(items, 3) == {0, 2, 3}  # tie at 0.8 -> lower index
-
-
-def test_topk_k_out_of_range():
-    with pytest.raises(KOutOfRange):
-        topk_select([ScoredItem(0.5, 1, 0)], 2)
+from fairfeas.errors import NotSorted, TooFewGroups
+from fairfeas.metrics import GroupCounts, expected_ppv_at_k, max_pairwise_prevalence_diff
 
 
 def test_expected_ppv_requires_sorted():
@@ -103,13 +23,6 @@ def test_expected_ppv_non_increasing_in_k(probs):
     vals = [expected_ppv_at_k(probs, k) for k in range(1, len(probs) + 1)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-12
-
-
-def test_pooled_prevalence_between_groups():
-    a = GroupCounts("a", n=100, p_count=44)  # 0.44
-    b = GroupCounts("b", n=200, p_count=98)  # 0.49
-    pooled = pooled_prevalence(a, b)
-    assert 0.44 <= pooled <= 0.49
 
 
 def test_max_pairwise_diff_known_value():

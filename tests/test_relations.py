@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairfeas.errors import DomainError, SingularDenominator, ZeroEpsP
@@ -65,6 +65,29 @@ def test_fpr_from_relation_can_exceed_one():
 
 def test_acc_identity_value():
     assert math.isclose(acc_identity(0.5, 0.4, 0.2), 0.7, abs_tol=1e-15)
+
+
+# (tp, fp, tn, fn) of one group; the rates below are the group's own
+confusion_counts = st.tuples(*[st.integers(0, 500)] * 4)
+
+
+@given(confusion_counts)
+def test_fpr_ppv_fnr_relation(counts):
+    """FPR = (p/(1-p)) ((1-PPV)/PPV) (1-FNR) whenever all terms exist."""
+    tp, fp, tn, fn = counts
+    assume(tp > 0 and fp + tn > 0)  # PPV > 0, FPR and FNR defined, 0 < p < 1
+    p = (tp + fn) / (tp + fp + tn + fn)
+    implied = fpr_from_relation(p, ppv=tp / (tp + fp), fnr=fn / (fn + tp))
+    assert math.isclose(fp / (fp + tn), implied, abs_tol=1e-12)
+
+
+@given(confusion_counts)
+def test_acc_is_prevalence_weighted_rates(counts):
+    tp, fp, tn, fn = counts
+    assume(tp + fn > 0 and fp + tn > 0)  # FNR and FPR defined
+    total = tp + fp + tn + fn
+    mix = acc_identity((tp + fn) / total, fnr=fn / (fn + tp), fpr=fp / (fp + tn))
+    assert math.isclose((tp + tn) / total, mix, abs_tol=1e-12)
 
 
 def test_relaxed_fnr_acc_known_point():
