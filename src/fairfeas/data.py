@@ -50,16 +50,18 @@ class TableSchema:
         for key in ("label", "positive", "sensitive"):
             if key not in cfg:
                 raise ValueError(f"schema {path} has no {key!r} key")
-        label, sensitive = cfg["label"], cfg["sensitive"]
+        label, positive, sensitive = cfg["label"], cfg["positive"], cfg["sensitive"]
         if not isinstance(label, str):
             raise ValueError(f"schema {path}: 'label' must be a column name, got {label!r}")
+        if isinstance(positive, bool) or not isinstance(positive, (str, int)):
+            raise ValueError(f"schema {path}: 'positive' must be a str or an int, got {positive!r}")
         if not isinstance(sensitive, list) or not all(isinstance(c, str) for c in sensitive):
             raise ValueError(
                 f"schema {path}: 'sensitive' must be a list of column names, got {sensitive!r}"
             )
         return cls(
             label_column=label,
-            positive_value=str(cfg["positive"]),
+            positive_value=str(positive),
             sensitive_columns=tuple(sensitive),
             id_column=cfg.get("id"),
         )

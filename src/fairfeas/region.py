@@ -8,10 +8,12 @@ identity alpha * d = n holds, where
 
 This is the integer form of the relation tying FPR to (p, PPV, FNR):
 alpha/N = (p/N * (1 - v/N) * (1 - beta/N)) / (v/N * (1 - p/N)).
-Enumeration loops (beta, v) and accepts alpha = n/d when the division
-is exact and in range, O(N^2) per prevalence. Joint counting across two
-prevalences compares every cross-set pair of triples directly, O(M1 M2)
-time and memory for sets of M1 and M2 triples.
+Enumeration divides n by d over the whole (v, beta) grid at once and
+keeps alpha = n/d where the division is exact and in range; where d = 0
+(v = 0) and n = 0, every alpha in range is feasible. Two triples are
+jointly fair at eps index e exactly when their Chebyshev distance
+max(|d alpha|, |d beta|, |d v|) is at most e. Joint counting computes
+that distance for every cross-set pair in one int16 M1 x M2 buffer.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ import numpy as np
 
 from .errors import BadPrevalence, DomainError, OverlappingBins
 
-#: Largest grid resolution. count_joint holds, per pair of triples, one
-#: bool of the running mask, two int64 temporaries and one bool compare,
-#: 18 bytes for each of M1 x M2 pairs. For n <= 400 no prevalence has more
-#: than 5,773 triples (measured: n=360, p=180, all ranges [0, n]), so one
-#: call peaks at 18 * 5,773**2 bytes, about 0.6 GB; M grows roughly as
-#: n**1.5 (9,905 at n=600), which would pass 1.6 GB.
+#: Largest grid resolution. count_joint holds two int16 buffers per pair
+#: of triples, the running distance and one column's difference: 4 bytes
+#: for each of M1 x M2 pairs. For n <= 400 no prevalence has more than
+#: 5,773 triples (n=360, p=180, all ranges [0, n]); that set against
+#: itself peaks at 127 MiB in tracemalloc. M grows roughly as n**1.5.
 MAX_N = 400
 
 
@@ -72,7 +73,7 @@ class FeasibleTripleSet:
     """All feasible (alpha, beta, v) index triples for one prevalence index."""
 
     p_idx: int
-    triples: np.ndarray  # (M, 3) int array, columns (alpha, beta, v)
+    triples: np.ndarray  # (M, 3) int16, Fortran order, columns (alpha, beta, v)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -89,45 +90,41 @@ class PrevalenceHeatmap:
 
 
 def enumerate_triples(p_idx: int, disc: Discretization) -> FeasibleTripleSet:
-    """All triples within the discretization ranges feasible at p_idx.
-
-    For v_idx = 0 the divisor d vanishes and a triple is feasible only
-    when n = 0 as well (any alpha then satisfies the identity).
-    """
+    """Triples within the ranges feasible at p_idx, sorted by (alpha, beta, v)."""
     n_res = disc.n
     if not 1 <= p_idx <= n_res - 1:
         raise BadPrevalence(f"p_idx={p_idx} must lie in [1, {n_res - 1}]")
     a_lo, a_hi = disc.alpha_range
     b_lo, b_hi = disc.beta_range
     v_lo, v_hi = disc.v_range
-    betas = np.arange(b_lo, b_hi + 1, dtype=np.int64)
-    found = []
-    for v in range(v_lo, v_hi + 1):
-        num = p_idx * (n_res - v) * (n_res - betas)  # n = m * (N - beta)
-        d = v * (n_res - p_idx)
-        if d == 0:
-            ok = betas[num == 0]
-            for b in ok:
-                for a in range(a_lo, a_hi + 1):
-                    found.append((a, int(b), v))
-            continue
-        alphas, rem = np.divmod(num, d)
-        mask = (rem == 0) & (alphas >= a_lo) & (alphas <= a_hi)
-        for b, a in zip(betas[mask], alphas[mask]):
-            found.append((int(a), int(b), v))
-    arr = np.array(sorted(found), dtype=np.int64).reshape(-1, 3)
-    return FeasibleTripleSet(p_idx=p_idx, triples=arr)
+    v, beta = np.meshgrid(np.arange(v_lo, v_hi + 1), np.arange(b_lo, b_hi + 1), indexing="ij")
+    num = p_idx * (n_res - v) * (n_res - beta)  # n = m * (N - beta)
+    d = v * (n_res - p_idx)
+    alpha, rem = np.divmod(num, np.maximum(d, 1))
+    exact = (d > 0) & (rem == 0) & (alpha >= a_lo) & (alpha <= a_hi)
+    free = (d == 0) & (num == 0)  # alpha * 0 = 0 holds for every alpha
+    width = a_hi - a_lo + 1
+    cols = (
+        np.concatenate([alpha[exact], np.tile(np.arange(a_lo, a_hi + 1), np.count_nonzero(free))]),
+        np.concatenate([beta[exact], np.repeat(beta[free], width)]),
+        np.concatenate([v[exact], np.repeat(v[free], width)]),
+    )
+    triples = np.asfortranarray(np.column_stack(cols)[np.lexsort(cols[::-1])], dtype=np.int16)
+    return FeasibleTripleSet(p_idx=p_idx, triples=triples)
 
 
 def count_joint(sets: tuple[FeasibleTripleSet, FeasibleTripleSet], eps_idx: int) -> int:
-    """Number of cross-set triple pairs within eps_idx on every metric."""
+    """Number of cross-set triple pairs within Chebyshev distance eps_idx."""
     if eps_idx < 0:
         raise ValueError(f"eps_idx must be >= 0, got {eps_idx}")
-    s1, s2 = sets
-    near = np.ones((len(s1), len(s2)), dtype=bool)
+    t1, t2 = (s.triples for s in sets)
+    dist = np.zeros((len(t1), len(t2)), dtype=np.int16)
+    delta = np.empty_like(dist)
     for col in range(3):
-        near &= np.abs(s1.triples[:, col, None] - s2.triples[None, :, col]) <= eps_idx
-    return int(np.count_nonzero(near))
+        np.abs(np.subtract(t1[:, col, None], t2[None, :, col], out=delta), out=delta)
+        np.maximum(dist, delta, out=dist)
+    del delta  # freed before the compare allocates its bool mask
+    return int(np.count_nonzero(dist <= eps_idx))
 
 
 def prevalence_grid(disc: Discretization, p_grid_step: float) -> list[int]:

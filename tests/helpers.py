@@ -1,13 +1,14 @@
 """Independent oracles shared by the unit and acceptance tests.
 
 These deliberately avoid the library's own code paths: the triple
-oracle checks the defining relation with exact Fractions, the selection
-oracle enumerates every C(n, k) item subset, the reference solver is the
-group-count search in Fraction arithmetic that the integer solver must
-reproduce allocation for allocation, the planimeter oracle measures
-every detector against every curve point, and the row-based loader and
-sampler are the per-row data layer that the columnar one must reproduce
-row for row.
+oracle checks the defining relation with exact Fractions, the
+loop-based enumerator is the per-PPV-row search that the vectorized one
+must reproduce row for row, the selection oracle enumerates every
+C(n, k) item subset, the reference solver is the group-count search in
+Fraction arithmetic that the integer solver must reproduce allocation
+for allocation, the planimeter oracle measures every detector against
+every curve point, and the row-based loader and sampler are the per-row
+data layer that the columnar one must reproduce row for row.
 """
 
 from __future__ import annotations
@@ -57,6 +58,33 @@ def naive_triples(p_idx: int, disc) -> set[tuple[int, int, int]]:
                 if alpha == (p / (1 - p)) * ((1 - ppv) / ppv) * (1 - beta):
                     out.add((a, b, v))
     return out
+
+
+def reference_enumerate_triples(p_idx: int, disc) -> np.ndarray:
+    """The loop-based enumerator: one divmod per v row, rows sorted as tuples.
+
+    The vectorized enumerator must return the same rows in the same order.
+    """
+    n_res = disc.n
+    a_lo, a_hi = disc.alpha_range
+    b_lo, b_hi = disc.beta_range
+    v_lo, v_hi = disc.v_range
+    betas = np.arange(b_lo, b_hi + 1, dtype=np.int64)
+    found = []
+    for v in range(v_lo, v_hi + 1):
+        num = p_idx * (n_res - v) * (n_res - betas)  # n = m * (N - beta)
+        d = v * (n_res - p_idx)
+        if d == 0:
+            ok = betas[num == 0]
+            for b in ok:
+                for a in range(a_lo, a_hi + 1):
+                    found.append((a, int(b), v))
+            continue
+        alphas, rem = np.divmod(num, d)
+        mask = (rem == 0) & (alphas >= a_lo) & (alphas <= a_hi)
+        for b, a in zip(betas[mask], alphas[mask]):
+            found.append((int(a), int(b), v))
+    return np.array(sorted(found), dtype=np.int64).reshape(-1, 3)
 
 
 def naive_joint_count(

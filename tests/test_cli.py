@@ -277,8 +277,15 @@ def test_analyze_rejects_unusable_values(flags, tmp_path, capsys):
         ({"positive": "pos", "sensitive": ["sex"]}, "'label'"),
         ([{"label": "outcome", "positive": "pos", "sensitive": ["sex"]}], "JSON object"),
         ({"label": "outcome", "positive": "pos", "sensitive": 5}, "'sensitive'"),
+        ({"label": "outcome", "positive": True, "sensitive": ["sex"]}, "'positive'"),
+        ({"label": "outcome", "positive": 1.0, "sensitive": ["sex"]}, "'positive'"),
+        ({"label": "outcome", "positive": None, "sensitive": ["sex"]}, "'positive'"),
+        ({"label": "outcome", "positive": ["pos"], "sensitive": ["sex"]}, "'positive'"),
     ],
-    ids=["missing label", "top-level array", "sensitive not a list"],
+    ids=[
+        "missing label", "top-level array", "sensitive not a list",
+        "positive bool", "positive float", "positive null", "positive list",
+    ],
 )
 def test_analyze_malformed_schema_usage_error(cfg, named, tmp_path, capsys):
     src, schema = write_fixture(tmp_path, [["pos", "F", "u"], ["neg", "M", "r"]])
@@ -468,3 +475,20 @@ def test_planimeter_fuzz_exits_cleanly(g, family, fill, gamma, eps_p):
     argv += flag_args(gamma=gamma, eps_p=eps_p)
     with tempfile.TemporaryDirectory() as tmp:
         assert_clean_exit(*run_argv(argv + ["--out-dir", tmp]), parse=float)
+
+
+# about a tenth of the runs print an area
+AREA_NUMBER = st.one_of(
+    st.sampled_from(["0.05", "0.2", "-0.1"]),
+    st.sampled_from(["0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e308", "-1e308"]),
+    BAD_NUMBER,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=AREA_NUMBER, eps_p=AREA_NUMBER, p=st.one_of(st.none(), AREA_NUMBER))
+def test_area_fuzz_exits_cleanly(gamma, eps_p, p):
+    code, out, err = run_argv(["area", f"--gamma={gamma}", f"--eps-p={eps_p}"] + flag_args(p=p))
+    assert_clean_exit(code, out, err, parse=float)
+    if code == 0:
+        assert 0.0 <= float(out) <= 1.0

@@ -15,7 +15,7 @@ from fairfeas.region import (
     ppv_binned_counts,
     prevalence_grid,
 )
-from helpers import naive_joint_count, naive_triples
+from helpers import naive_joint_count, naive_triples, reference_enumerate_triples
 
 
 @pytest.mark.parametrize("n,p_idx", [(5, 2), (10, 5), (10, 3), (20, 7)])
@@ -23,6 +23,27 @@ def test_enumeration_matches_fraction_oracle(n, p_idx):
     disc = Discretization(n=n)
     got = {tuple(row) for row in enumerate_triples(p_idx, disc).triples}
     assert got == naive_triples(p_idx, disc)
+
+
+def oracle_discretizations(n: int) -> list[Discretization]:
+    return [
+        Discretization(n=n),
+        Discretization(n=n, alpha_range=(1, n - 1), beta_range=(1, n // 2), v_range=(n // 3, n - 1)),
+        Discretization(n=n, alpha_range=(0, n), beta_range=(0, n), v_range=(0, n)),
+        Discretization(n=n, alpha_range=(1, n - 1), beta_range=(n // 2, n), v_range=(0, n // 2)),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 37])
+def test_enumeration_matches_loop_oracle_row_for_row(n):
+    free_rows = 0  # rows from the d = 0 branch, where any alpha is feasible
+    for disc in oracle_discretizations(n):
+        for p_idx in range(1, n):
+            got = enumerate_triples(p_idx, disc).triples
+            assert got.dtype == np.int16 and got.flags.f_contiguous
+            assert np.array_equal(got, reference_enumerate_triples(p_idx, disc))
+            free_rows += np.count_nonzero(got[:, 2] == 0)
+    assert free_rows > 0
 
 
 def test_hand_derived_count_at_half():
@@ -38,7 +59,7 @@ def test_enumeration_rejects_degenerate_prevalence():
         enumerate_triples(10, disc)
 
 
-COUNT_CASES = [  # n, p1, p2, eps_idx, PPV window
+COUNT_CASES = [  # n, p1, p2, eps_idx, PPV window or "all" (every range [0, n])
     (5, 2, 3, 1, None),
     (10, 5, 5, 0, None),
     (20, 7, 7, 3, None),
@@ -48,16 +69,23 @@ COUNT_CASES = [  # n, p1, p2, eps_idx, PPV window
     (10, 4, 6, 25, None),
     (20, 7, 11, 2, (5, 12)),
     (20, 7, 11, 3, (19, 19)),  # a window no triple falls in
+    (400, 1, 399, 399, "all"),  # index differences reach +-400 on every metric
+    (20, 7, 11, 2**40, None),
 ]
 
 
-@pytest.mark.parametrize(
-    "n,p1,p2,eps_idx,window",
-    COUNT_CASES,
-    ids=["-".join(map(str, c[:4])) + (f"-v{c[4][0]}:{c[4][1]}" if c[4] else "") for c in COUNT_CASES],
-)
+def count_case_id(case) -> str:
+    window = case[4]
+    suffix = "" if window is None else "-all" if window == "all" else f"-v{window[0]}:{window[1]}"
+    return "-".join(map(str, case[:4])) + suffix
+
+
+@pytest.mark.parametrize("n,p1,p2,eps_idx,window", COUNT_CASES, ids=map(count_case_id, COUNT_CASES))
 def test_count_joint_matches_double_loop(n, p1, p2, eps_idx, window):
-    disc = Discretization(n=n, v_range=window)
+    if window == "all":
+        disc = Discretization(n=n, alpha_range=(0, n), beta_range=(0, n), v_range=(0, n))
+    else:
+        disc = Discretization(n=n, v_range=window)
     s1 = enumerate_triples(p1, disc)
     s2 = s1 if p2 == p1 else enumerate_triples(p2, disc)  # one object twice, as --single-cell
     naive = naive_joint_count(
@@ -68,6 +96,10 @@ def test_count_joint_matches_double_loop(n, p1, p2, eps_idx, window):
         assert naive == len(s1) * len(s2)
     if window == (19, 19):
         assert len(s1) == len(s2) == 0
+    if window == "all":
+        for col in range(3):
+            diffs = s1.triples[:, col, None].astype(int) - s2.triples[None, :, col]
+            assert diffs.min() == -n and diffs.max() == n
 
 
 def test_count_joint_memory_grows_with_triples_not_n_cubed():
@@ -80,7 +112,7 @@ def test_count_joint_memory_grows_with_triples_not_n_cubed():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_prevalence_grid_excludes_edges():
