@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -122,40 +123,54 @@ class CohortStats:
 
 
 def load_csv(path, schema: TableSchema) -> Cohort:
-    """Parse a CSV file (RFC-4180, UTF-8, header required) into a Cohort."""
-    needed = [schema.label_column, *schema.sensitive_columns]
-    if schema.id_column:
-        needed.append(schema.id_column)
+    """Parse a CSV file (RFC-4180, UTF-8, header required) into a Cohort.
+
+    Cells are read as ``csv.DictReader`` reads them: a leading byte-order
+    mark is dropped, blank lines are skipped, a short row reads None past
+    its end and a repeated header name reads its last column. Each
+    distinct (label cell, values) combination is checked on its first row.
+    """
+    columns = (schema.label_column, *schema.sensitive_columns)
+    needed = (*columns, schema.id_column) if schema.id_column else columns
     labels = bytearray()
     group_values = []
+    seen: dict[tuple, tuple[int, tuple[str, ...]]] = {}
     interned: dict[tuple, tuple[str, ...]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyFile(f"{path} has no header row")
+        index = {name: j for j, name in enumerate(header)}
         for col in needed:
-            if col not in reader.fieldnames:
+            if col not in index:
                 raise MissingColumn(f"column {col!r} not in {path}")
-        for i, rec in enumerate(reader):
-            values = tuple(rec.get(col) for col in schema.sensitive_columns)
-            shared = interned.get(values)
-            if shared is None:
-                # a bad value is never interned, so the first row holding
-                # one is always checked here
+        fetch = operator.itemgetter(*(index[col] for col in columns))
+        pad = [None] * len(header)
+        for i, row in enumerate(filter(None, reader)):
+            try:
+                key = fetch(row)
+            except IndexError:
+                key = fetch(row + pad)
+            hit = seen.get(key)
+            if hit is None:
+                # a key that fails a check raises before it is cached,
+                # so the cache holds only keys whose checks passed
+                cell, values = key[0], key[1:]
                 for col, v in zip(schema.sensitive_columns, values):
-                    if v is None or v == "":
+                    if not v:
                         raise MissingValue(i, col)
                     if KEY_SEPARATOR in v:
                         raise ValueError(
                             f"sensitive value {v!r} at row {i} contains the "
                             f"reserved separator {KEY_SEPARATOR!r}"
                         )
-                shared = interned[values] = values
-            label_cell = rec.get(schema.label_column)
-            if label_cell is None or label_cell == "":
-                raise MissingValue(i, schema.label_column)
-            labels.append(1 if label_cell == schema.positive_value else 0)
-            group_values.append(shared)
+                if not cell:
+                    raise MissingValue(i, schema.label_column)
+                label = 1 if cell == schema.positive_value else 0
+                hit = seen[key] = (label, interned.setdefault(values, values))
+            labels.append(hit[0])
+            group_values.append(hit[1])
     if not labels:
         raise EmptyFile(f"{path} has no data rows")
     return Cohort(labels=bytes(labels), group_values=tuple(group_values), schema=schema)
@@ -235,9 +250,10 @@ def stratified_sample(
 ) -> Cohort:
     """Deterministic stratified sample on (group key, label) strata.
 
-    Stratum quotas use largest-remainder apportionment, so each stratum
-    lands within one row of its exact proportional share; rows within a
-    stratum are chosen by a seeded shuffle.
+    Stratum quotas use largest-remainder apportionment in integers, so
+    each stratum lands within one row of its exact proportional share and
+    equal remainders go to the strata first in (group key, label) order;
+    rows within a stratum are chosen by a seeded shuffle.
     """
     if target_n < 1:
         raise ValueError(f"target_n={target_n} must be at least 1")
@@ -251,11 +267,12 @@ def stratified_sample(
         strata.setdefault((key_of[values], label), []).append(i)
 
     keys = sorted(strata.keys())
-    quotas = {k: target_n * len(strata[k]) / total for k in keys}
-    base = {k: int(quotas[k]) for k in keys}
+    # integer quotas: every remainder is a count of 1/total, so ties are exact
+    base, remainder = {}, {}
+    for k in keys:
+        base[k], remainder[k] = divmod(target_n * len(strata[k]), total)
     leftover = target_n - sum(base.values())
-    by_remainder = sorted(keys, key=lambda k: (-(quotas[k] - base[k]), k))
-    for k in by_remainder[:leftover]:
+    for k in sorted(keys, key=lambda k: (-remainder[k], k))[:leftover]:
         base[k] += 1
 
     rng = random.Random(seed)

@@ -401,10 +401,10 @@ def reference_stratified_sample(
         strata.setdefault((_key_for(columns, row, schema), row.label), []).append(row)
 
     keys = sorted(strata.keys())
-    quotas = {k: target_n * len(strata[k]) / total for k in keys}
-    base = {k: int(quotas[k]) for k in keys}
+    quotas = {k: divmod(target_n * len(strata[k]), total) for k in keys}
+    base = {k: q for k, (q, _) in quotas.items()}
     leftover = target_n - sum(base.values())
-    by_remainder = sorted(keys, key=lambda k: (-(quotas[k] - base[k]), k))
+    by_remainder = sorted(keys, key=lambda k: (-quotas[k][1], k))
     for k in by_remainder[:leftover]:
         base[k] += 1
 

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,17 @@ def test_stratified_sample_target_too_large():
         stratified_sample(cohort, GroupingSpec(columns=("sex",)), 3, seed=0)
 
 
+def test_stratified_sample_breaks_exact_remainder_ties_by_key():
+    # strata a/b/c of 1, 1 and 7 rows sampled to 3: exact quotas 1/3, 1/3
+    # and 7/3 have the same remainder 1/3, so the leftover row goes to the
+    # first key, a; float quotas made c's remainder look larger
+    cohort = make_cohort([(0, "a", "u"), (0, "b", "u")] + [(0, "c", "u")] * 7)
+    for seed in range(5):
+        sample = stratified_sample(cohort, GroupingSpec(columns=("sex",)), 3, seed)
+        stats = group_stats(sample, GroupingSpec(columns=("sex",)))
+        assert {g.group_key: g.n for g in stats.groups} == {"a": 1, "c": 2}
+
+
 @pytest.mark.parametrize("target_n", [0, -1])
 def test_stratified_sample_target_below_one(target_n):
     cohort = make_cohort([(1, "F", "u"), (0, "M", "r")])
@@ -296,6 +308,7 @@ BAD_EDGE_FILES = [
     ("pos,x,y\n,,y\n", "label and value missing: the value is reported"),
     ("pos,x,\nneg,x,y\n", "empty last cell on the first row"),
     ("\n\n", "blank lines only"),
+    ("", "header only"),
 ]
 
 
@@ -306,3 +319,78 @@ def test_columnar_loader_raises_like_row_oracle(body, case, tmp_path):
     expected = outcome(reference_load_csv, src, DIFF_SCHEMA)
     assert isinstance(expected, tuple) and isinstance(expected[0], type)
     assert outcome(load_csv, src, DIFF_SCHEMA) == expected
+
+
+def test_loader_reads_blank_first_line_as_header_like_row_oracle(tmp_path):
+    # DictReader takes the blank line for an empty header: no column found
+    src = tmp_path / "bad.csv"
+    src.write_text("\noutcome,a,b\npos,x,y\n")
+    expected = outcome(reference_load_csv, src, DIFF_SCHEMA)
+    assert expected[0] is MissingColumn
+    assert outcome(load_csv, src, DIFF_SCHEMA) == expected
+
+
+def test_loader_shares_values_across_label_cells(tmp_path):
+    # one values tuple under many distinct label cells, each a distinct
+    # (label cell, values) combination; a second values tuple under two
+    cells = ["pos", "neg", "0", "1", "POS", " pos", "pos ", "maybe", '"q,uoted"']
+    lines = [f"{cell},x,y" for cell in cells * 3] + ["pos,x,z", "neg,x,z"]
+    src = tmp_path / "labels.csv"
+    src.write_text("\n".join(["outcome,a,b", *lines]) + "\n")
+    rows = reference_load_csv(src, DIFF_SCHEMA)
+    cohort = load_csv(src, DIFF_SCHEMA)
+    assert cohort.labels == bytes(r.label for r in rows)
+    assert cohort.group_values == tuple(r.group_values for r in rows)
+    assert sum(cohort.labels) == 4  # only the exact cell "pos" is positive
+    assert len({id(v) for v in cohort.group_values}) == len(set(cohort.group_values)) == 2
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_loader_drops_utf8_byte_order_mark(eol, tmp_path):
+    # the label is the first column, so a kept BOM would hide it
+    plain = eol.join(["outcome,a,b", "pos,x,y", "neg,x,\u00e9", "pos,x,y"]) + eol
+    src, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    src.write_bytes(plain.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.encode())
+    cohort = load_csv(src, DIFF_SCHEMA)
+    assert load_csv(bom, DIFF_SCHEMA) == cohort
+    assert cohort.labels == bytes([1, 0, 1])
+    assert cohort.group_values == (("x", "y"), ("x", "\u00e9"), ("x", "y"))
+
+
+def test_loader_memory_does_not_grow_with_per_row_keys(tmp_path):
+    # 100k rows in 8 (label cell, values) combinations, each with its own
+    # id: the cohort is two pointers and a byte per row, and the loader
+    # peaks near 1.8 MiB; a list of one key tuple per row, mapped to
+    # labels and values afterwards, peaks near 23 MiB
+    rng = random.Random(5)
+    src = tmp_path / "big.csv"
+    with open(src, "w") as fh:
+        fh.write("id,a,b,outcome\n")
+        for i in range(100_000):
+            fh.write(f"{i},x{rng.randint(0, 1)},y{rng.randint(0, 1)},{rng.choice(['pos', 'neg'])}\n")
+    schema = TableSchema(
+        label_column="outcome", positive_value="pos", sensitive_columns=("a", "b"), id_column="id"
+    )
+    tracemalloc.start()
+    try:
+        cohort = load_csv(src, schema)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cohort) == 100_000
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("header", [",a,b", "o,a,b"], ids=["named", "missing"])
+def test_loader_reads_empty_column_name_like_row_oracle(header, tmp_path):
+    src = tmp_path / "blank_name.csv"
+    src.write_text(header + "\npos,x,y\nneg,x,y\n")
+    schema = TableSchema(label_column="", positive_value="pos", sensitive_columns=("a", "b"))
+    got = outcome(load_csv, src, schema)
+    if isinstance(got, Cohort):
+        got = tuple(
+            Row(label=label, group_values=values, row_ordinal=i)
+            for i, (label, values) in enumerate(zip(got.labels, got.group_values))
+        )
+    assert got == outcome(reference_load_csv, src, schema)
