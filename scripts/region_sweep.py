@@ -5,7 +5,8 @@ Produces three artifacts in --out-dir:
   sensitivity.csv   totals over grid step {0.01, 0.02} x {inclusive, strict}
   ppv_bins.csv      per-PPV-bin totals at eps = 0.05
 
-Run time at n=100 is a few seconds per heatmap.
+At n=100 one heatmap takes about 0.1 s and the whole sweep about 1.3 s
+(2-vCPU shared machine, Python 3.11, numpy 2.4).
 """
 
 import argparse

@@ -12,8 +12,10 @@ Enumeration divides n by d over the whole (v, beta) grid at once and
 keeps alpha = n/d where the division is exact and in range; where d = 0
 (v = 0) and n = 0, every alpha in range is feasible. Two triples are
 jointly fair at eps index e exactly when their Chebyshev distance
-max(|d alpha|, |d beta|, |d v|) is at most e. Joint counting computes
-that distance for every cross-set pair in one int16 M1 x M2 buffer.
+max(|d alpha|, |d beta|, |d v|) is at most e. Pair counting holds one
+set as three bitset tables, one per coordinate, whose row c marks the
+triples with that coordinate in [c - e, c + e]: a triple of the other
+set has as many partners as the AND of its three rows has set bits.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ import numpy as np
 
 from .errors import BadPrevalence, DomainError, OverlappingBins
 
-#: Largest grid resolution. count_joint holds two int16 buffers per pair
-#: of triples, the running distance and one column's difference: 4 bytes
-#: for each of M1 x M2 pairs. For n <= 400 no prevalence has more than
-#: 5,773 triples (n=360, p=180, all ranges [0, n]); that set against
-#: itself peaks at 127 MiB in tracemalloc. M grows roughly as n**1.5.
+#: Largest grid resolution. For n <= 400 no prevalence has more than
+#: 5,773 triples (n=360, p=180, all ranges [0, n]); counting that set
+#: against itself peaks at 7.9 MiB in tracemalloc, mostly the (MAX_N + 1)
+#: x M buffers its tables are built from. M grows roughly as n**1.5.
 MAX_N = 400
+_CHUNK_WORDS = 2**14  # query rows x table words per chunk: 128 KiB a uint64 buffer
 
 
 @dataclass(frozen=True)
@@ -113,18 +115,36 @@ def enumerate_triples(p_idx: int, disc: Discretization) -> FeasibleTripleSet:
     return FeasibleTripleSet(p_idx=p_idx, triples=triples)
 
 
+def _cumulative_partners(rows: np.ndarray, cols: np.ndarray, eps_idx: int, height: int) -> np.ndarray:
+    """Entry r counts the pairs within eps_idx of a triple in cols and one of the first r in rows.
+
+    cols is (M, 3); rows is (3, R) intp, one row per coordinate; every index is below height.
+    """
+    words = -(-len(cols) // 64)
+    diff = np.empty((height, len(cols)), dtype=np.int16)
+    bits = np.zeros((height, 64 * words), dtype=bool)  # zero pad to whole words
+    tables = []
+    for k in range(3):
+        np.abs(np.subtract(np.arange(height, dtype=np.int16)[:, None], cols[:, k], out=diff), out=diff)
+        np.less_equal(diff, min(eps_idx, height), out=bits[:, : len(cols)])  # any eps_idx >= 0
+        tables.append(np.packbits(bits, axis=1, bitorder="little").view(np.uint64))
+    counts = np.zeros(rows.shape[1] + 1, dtype=np.int64)
+    step = max(1, _CHUNK_WORDS // max(words, 1))
+    for start in range(0, rows.shape[1], step):
+        a, b, v = rows[:, start : start + step]
+        acc = tables[0].take(a, axis=0)
+        acc &= tables[1].take(b, axis=0)
+        acc &= tables[2].take(v, axis=0)
+        counts[start + 1 : start + step + 1] = np.bitwise_count(acc).sum(axis=1)
+    return np.cumsum(counts, out=counts)
+
+
 def count_joint(sets: tuple[FeasibleTripleSet, FeasibleTripleSet], eps_idx: int) -> int:
     """Number of cross-set triple pairs within Chebyshev distance eps_idx."""
     if eps_idx < 0:
         raise ValueError(f"eps_idx must be >= 0, got {eps_idx}")
-    t1, t2 = (s.triples for s in sets)
-    dist = np.zeros((len(t1), len(t2)), dtype=np.int16)
-    delta = np.empty_like(dist)
-    for col in range(3):
-        np.abs(np.subtract(t1[:, col, None], t2[None, :, col], out=delta), out=delta)
-        np.maximum(dist, delta, out=dist)
-    del delta  # freed before the compare allocates its bool mask
-    return int(np.count_nonzero(dist <= eps_idx))
+    t1, t2 = (s.triples for s in sets)  # Fortran order: t1.T is (3, M1) C-contiguous
+    return int(_cumulative_partners(t1.T.astype(np.intp), t2, eps_idx, MAX_N + 1)[-1])
 
 
 def prevalence_grid(disc: Discretization, p_grid_step: float) -> list[int]:
@@ -162,12 +182,12 @@ def heatmap(
     if strict_eps:
         eps_idx = max(0, eps_idx - 1)
     sets = [enumerate_triples(p, disc) for p in grid]
+    rows = np.concatenate([s.triples.T for s in sets], axis=1).astype(np.intp)
+    offsets = np.cumsum([0] + [len(s) for s in sets])
     counts = np.zeros((len(grid), len(grid)), dtype=np.int64)
-    for j in range(len(grid)):
-        for i in range(j, len(grid)):
-            c = count_joint((sets[i], sets[j]), eps_idx)
-            counts[i, j] = c
-            counts[j, i] = c
+    for j, col in enumerate(sets):  # pairs (i, j) for every i >= j in one pass
+        cum = _cumulative_partners(rows[:, offsets[j] :], col.triples, eps_idx, disc.n + 1)
+        counts[j:, j] = counts[j, j:] = np.diff(cum[offsets[j:] - offsets[j]])
     return PrevalenceHeatmap(
         p_indices=grid, n=disc.n, counts=counts, total=int(counts.sum())
     )

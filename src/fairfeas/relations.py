@@ -169,7 +169,8 @@ def relaxed_fnr_ppv(
 
     Raises SingularDenominator when the governing denominator vanishes
     (e.g. eps_p = eps_v = 0, where the constraint degenerates and any
-    beta satisfies it). The result may fall outside [0, 1].
+    beta satisfies it), or when (1 - p2) * v2 is so near 0 that half a float
+    step of beta moves the residual past 1e-9. The result may fall outside [0, 1].
     """
     p, v = r.p, r.v
     ea, eb, ev, ep = r.eps_fpr, r.eps_fnr, r.eps_v, r.eps_p
@@ -188,6 +189,8 @@ def relaxed_fnr_ppv(
     slope = residual_ppv_balance(r, 1.0) - r0
     if slope != 0.0 and math.isfinite(beta):
         beta -= residual_ppv_balance(r, beta) / slope
+        if abs(slope) * math.ulp(beta) / 2 > 1e-9:
+            raise SingularDenominator(f"residual slope {slope} in beta exceeds float resolution")
     return beta
 
 

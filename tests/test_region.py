@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fairfeas.errors import BadPrevalence, DomainError, OverlappingBins
+import fairfeas.region as region_module
 from fairfeas.region import (
     MAX_N,
     Discretization,
@@ -113,6 +114,59 @@ def test_count_joint_memory_grows_with_triples_not_n_cubed():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+HEATMAP_ORACLE_CASES = [  # n, prevalence step, ranges
+    (n, step, ranges)
+    for n, step in ((5, 0.01), (10, 0.01), (20, 0.25))
+    for ranges in ("default", "all", "narrow-v")
+] + [(20, 0.25, "empty-v")]
+
+
+def oracle_case_disc(n: int, ranges: str) -> Discretization:
+    if ranges == "all":  # free rows: v = 0 with beta = n leaves alpha unconstrained
+        return Discretization(n=n, alpha_range=(0, n), beta_range=(0, n), v_range=(0, n))
+    window = {"default": None, "narrow-v": (n // 4, 3 * n // 4), "empty-v": (19, 19)}[ranges]
+    return Discretization(n=n, v_range=window)
+
+
+@pytest.mark.parametrize(
+    "n,step,ranges", HEATMAP_ORACLE_CASES, ids=[f"{n}-{r}" for n, _, r in HEATMAP_ORACLE_CASES]
+)
+def test_heatmap_matches_pairwise_oracle_at_every_eps(n, step, ranges):
+    disc = oracle_case_disc(n, ranges)
+    oracle_sets = [naive_triples(p, disc) for p in prevalence_grid(disc, step)]
+    if ranges == "all":
+        assert any(v == 0 for s in oracle_sets for _, _, v in s)
+    if ranges == "empty-v":  # empty at p = 5, not at 10 and 15: offsets repeat mid-grid
+        assert [len(t) for t in oracle_sets] == [0, 1, 1]
+    expected = [
+        np.array([[naive_joint_count(s1, s2, e) for s2 in oracle_sets] for s1 in oracle_sets])
+        for e in range(n + 1)
+    ]
+    for e in range(n + 1):
+        assert np.array_equal(heatmap(disc, e / n, step).counts, expected[e])
+        assert np.array_equal(heatmap(disc, e / n, step, strict_eps=True).counts, expected[max(0, e - 1)])
+
+
+def test_heatmap_counts_do_not_depend_on_chunk_size(monkeypatch):
+    disc = Discretization(n=20, alpha_range=(0, 20), beta_range=(0, 20), v_range=(0, 20))
+    whole = heatmap(disc, 0.1).counts
+    monkeypatch.setattr(region_module, "_CHUNK_WORDS", 1)  # one query triple per chunk
+    assert np.array_equal(heatmap(disc, 0.1).counts, whole)
+
+
+def test_heatmap_memory_stays_bounded_at_n_100():
+    # the 4,950 pairs as M1 x M2 buffers would need 1.3 MiB for the largest pair alone,
+    # and the query triples of one column unchunked raise the peak to about 2.5 MiB
+    disc = Discretization(n=100)
+    tracemalloc.start()
+    try:
+        heatmap(disc, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_prevalence_grid_excludes_edges():

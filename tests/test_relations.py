@@ -160,10 +160,26 @@ def test_relaxed_fnr_ppv_singular():
         relaxed_fnr_ppv(r)
 
 
+# p + eps_p and v + eps_v sit 1.5e-16 below 1 and 2.8e-17 above 0: one float
+# step of beta near 0.875 moves the residual by about 0.7 and 4
+EDGE_PPV_RELAXATIONS = [
+    PpvRelaxation(eps_fpr=0.0, eps_fnr=0.125, eps_v=0.0, eps_p=0.05, p=0.9499999999999998, v=0.5),
+    PpvRelaxation(eps_fpr=0.0, eps_fnr=0.125, eps_v=-0.19999999999999998, eps_p=0.0, p=0.5, v=0.2),
+]
+
+
+@pytest.mark.parametrize("r", EDGE_PPV_RELAXATIONS)
+def test_relaxed_fnr_ppv_rejects_balance_steeper_than_float_resolution(r):
+    with pytest.raises(SingularDenominator):
+        relaxed_fnr_ppv(r)
+
+
 @given(ppv_relaxations())
 @settings(max_examples=300)
 # near-singular: beta is about -1.6e9, where a float residual is off by 2e-6
 @example(PpvRelaxation(eps_fpr=0.0, eps_fnr=0.171875, eps_v=0.0, eps_p=2.5982755439901184e-11, p=0.609375, v=0.171875))
+@example(EDGE_PPV_RELAXATIONS[0])
+@example(EDGE_PPV_RELAXATIONS[1])
 def test_ppv_solution_zeroes_residual(r):
     try:
         beta = relaxed_fnr_ppv(r)
