@@ -157,8 +157,8 @@ def test_heatmap_counts_do_not_depend_on_chunk_size(monkeypatch):
 
 
 def test_heatmap_memory_stays_bounded_at_n_100():
-    # the 4,950 pairs as M1 x M2 buffers would need 1.3 MiB for the largest pair alone,
-    # and the query triples of one column unchunked raise the peak to about 2.5 MiB
+    # 1.2 MiB here; querying all 16,478 triples against the first column in one
+    # chunk instead raises the peak to about 2.5 MiB
     disc = Discretization(n=100)
     tracemalloc.start()
     try:
