@@ -17,14 +17,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fairfeas.region import Discretization, heatmap, ppv_binned_counts
-
-
-def quartile_bins(disc):
-    """Split the PPV index range into four disjoint quarters."""
-    lo, hi = disc.v_range
-    edges = [lo + (hi + 1 - lo) * q // 4 for q in range(5)]
-    return tuple((edges[q], edges[q + 1] - 1) for q in range(4))
+from fairfeas.region import Discretization, heatmap, ppv_binned_counts, quartile_bins
 
 
 def main() -> int:

@@ -16,11 +16,14 @@ max(|d alpha|, |d beta|, |d v|) is at most e. Pair counting holds one
 set as three bitset tables, one per coordinate, whose row c marks the
 triples with that coordinate in [c - e, c + e]: a triple of the other
 set has as many partners as the AND of its three rows has set bits.
+The triple sets do not depend on eps, the prevalence step, strictness
+or the PPV window, so `heatmap` and `ppv_binned_counts` enumerate those
+of the most recent Discretization once and keep them, read-only.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,8 +33,8 @@ from .errors import BadPrevalence, DomainError, OverlappingBins
 
 #: Largest grid resolution. For n <= 400 no prevalence has more than
 #: 5,773 triples (n=360, p=180, all ranges [0, n]); counting that set
-#: against itself peaks at 7.9 MiB in tracemalloc, mostly the (MAX_N + 1)
-#: x M buffers its tables are built from. M grows roughly as n**1.5.
+#: against itself peaks at 7.2 MiB in tracemalloc, mostly the (n + 1) x M
+#: buffers its tables are built from. M grows roughly as n**1.5.
 MAX_N = 400
 _CHUNK_WORDS = 2**14  # query rows x table words per chunk: 128 KiB a uint64 buffer
 
@@ -68,6 +71,7 @@ class Discretization:
             lo, hi = rng
             if not (0 <= lo <= hi <= self.n):
                 raise ValueError(f"{name}={rng} must satisfy 0 <= lo <= hi <= n")
+            object.__setattr__(self, name, (lo, hi))  # a tuple keeps the instance hashable
 
 
 @dataclass
@@ -144,7 +148,47 @@ def count_joint(sets: tuple[FeasibleTripleSet, FeasibleTripleSet], eps_idx: int)
     if eps_idx < 0:
         raise ValueError(f"eps_idx must be >= 0, got {eps_idx}")
     t1, t2 = (s.triples for s in sets)  # Fortran order: t1.T is (3, M1) C-contiguous
-    return int(_cumulative_partners(t1.T.astype(np.intp), t2, eps_idx, MAX_N + 1)[-1])
+    height = 1 + max(int(t.max(initial=0)) for t in (t1, t2))
+    return int(_cumulative_partners(t1.T.astype(np.intp), t2, eps_idx, height)[-1])
+
+
+def _pair_counts(cols: np.ndarray, sizes: Sequence[int], eps_idx: int, height: int) -> np.ndarray:
+    """Entry (i, j) counts the pairs within eps_idx of a triple in set i and one in set j.
+
+    cols is (3, sum(sizes)) int16, the sets' triples one set after another.
+    """
+    rows = cols.astype(np.intp)
+    offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+    counts = np.zeros((len(sizes), len(sizes)), dtype=np.int64)
+    for j in range(len(sizes)):  # pairs (i, j) for every i >= j in one pass
+        lo, hi = offsets[j], offsets[j + 1]
+        cum = _cumulative_partners(rows[:, lo:], cols[:, lo:hi].T, eps_idx, height)
+        counts[j:, j] = counts[j, j:] = np.diff(cum[offsets[j:] - lo])
+    return counts
+
+
+@functools.lru_cache(maxsize=1)
+def _triple_memo(disc: Discretization) -> dict[int, np.ndarray]:
+    """p_idx -> read-only triples of enumerate_triples(p_idx, disc), filled by _grid_triples."""
+    return {}
+
+
+def _grid_triples(disc: Discretization, grid: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """The triple sets of grid stacked as one (3, M) int16 array, and each set's size."""
+    memo = _triple_memo(disc)
+    for p in grid:
+        if p not in memo:
+            memo[p] = enumerate_triples(p, disc).triples
+            memo[p].setflags(write=False)
+    sets = [memo[p] for p in grid]
+    return np.concatenate([s.T for s in sets], axis=1), [len(s) for s in sets]
+
+
+def _eps_index(disc: Discretization, eps_max: float, strict_eps: bool) -> int:
+    if not 0.0 <= eps_max <= 1.0:
+        raise ValueError(f"eps_max must lie in [0, 1], got {eps_max}")
+    eps_idx = round(eps_max * disc.n)
+    return max(0, eps_idx - 1) if strict_eps else eps_idx
 
 
 def prevalence_grid(disc: Discretization, p_grid_step: float) -> list[int]:
@@ -175,39 +219,36 @@ def heatmap(
     clamped to |difference| <= 0, so strict and inclusive counts agree
     there (16,478 each at n=100, eps_max=0).
     """
-    if not 0.0 <= eps_max <= 1.0:
-        raise ValueError(f"eps_max must lie in [0, 1], got {eps_max}")
+    eps_idx = _eps_index(disc, eps_max, strict_eps)
     grid = prevalence_grid(disc, p_grid_step)
-    eps_idx = round(eps_max * disc.n)
-    if strict_eps:
-        eps_idx = max(0, eps_idx - 1)
-    sets = [enumerate_triples(p, disc) for p in grid]
-    rows = np.concatenate([s.triples.T for s in sets], axis=1).astype(np.intp)
-    offsets = np.cumsum([0] + [len(s) for s in sets])
-    counts = np.zeros((len(grid), len(grid)), dtype=np.int64)
-    for j, col in enumerate(sets):  # pairs (i, j) for every i >= j in one pass
-        cum = _cumulative_partners(rows[:, offsets[j] :], col.triples, eps_idx, disc.n + 1)
-        counts[j:, j] = counts[j, j:] = np.diff(cum[offsets[j:] - offsets[j]])
+    counts = _pair_counts(*_grid_triples(disc, grid), eps_idx, disc.n + 1)
     return PrevalenceHeatmap(
         p_indices=grid, n=disc.n, counts=counts, total=int(counts.sum())
     )
 
 
-DEFAULT_PPV_BINS = ((0, 24), (25, 49), (50, 74), (75, 99))
+def quartile_bins(disc: Discretization) -> list[tuple[int, int]]:
+    """disc.v_range split into four disjoint quarters; empty ones are left out."""
+    lo, hi = disc.v_range
+    edges = [lo + (hi + 1 - lo) * q // 4 for q in range(5)]
+    return [(a, b - 1) for a, b in zip(edges, edges[1:]) if a < b]
 
 
 def ppv_binned_counts(
     disc: Discretization,
     eps_max: float,
-    bins: Sequence[tuple[int, int]] = DEFAULT_PPV_BINS,
+    bins: Optional[Sequence[tuple[int, int]]] = None,
 ) -> list[int]:
     """Heatmap totals with disc.v_range narrowed to each bin in turn.
 
-    Every bin must lie inside disc.v_range: a window reaching past it
-    would add PPV values the full heatmap never counts.
+    bins defaults to quartile_bins(disc). Every bin must lie inside
+    disc.v_range: a window reaching past it would add PPV values the
+    full heatmap never counts. A bin's sets are the rows of the full
+    window's sets with v in the bin, which keeps their sort, so they
+    equal the sets of the narrowed window row for row.
     """
     v_lo, v_hi = disc.v_range
-    windows = [(lo, hi) for lo, hi in bins]
+    windows = quartile_bins(disc) if bins is None else [(lo, hi) for lo, hi in bins]
     for lo, hi in windows:
         if lo > hi or lo < v_lo or hi > v_hi:
             raise OverlappingBins(f"bin ({lo}, {hi}) outside v_range {disc.v_range}")
@@ -215,7 +256,15 @@ def ppv_binned_counts(
     for (_, hi_prev), (lo_next, _) in zip(covered, covered[1:]):
         if lo_next <= hi_prev:
             raise OverlappingBins("bins must be disjoint")
-    return [heatmap(dataclasses.replace(disc, v_range=w), eps_max).total for w in windows]
+    eps_idx = _eps_index(disc, eps_max, False)
+    cols, sizes = _grid_triples(disc, prevalence_grid(disc, 0.01))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    totals = []
+    for lo, hi in windows:
+        keep = (cols[2] >= lo) & (cols[2] <= hi)
+        in_bin = np.bincount(owner[keep], minlength=len(sizes))
+        totals.append(int(_pair_counts(cols[:, keep], in_bin, eps_idx, disc.n + 1).sum()))
+    return totals
 
 
 def heatmap_to_csv(hm: PrevalenceHeatmap, path) -> None:

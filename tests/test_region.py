@@ -15,6 +15,7 @@ from fairfeas.region import (
     heatmap_to_csv,
     ppv_binned_counts,
     prevalence_grid,
+    quartile_bins,
 )
 from helpers import naive_joint_count, naive_triples, reference_enumerate_triples
 
@@ -215,18 +216,80 @@ def test_ppv_window_restricts_counts():
 
 
 def test_binned_counts_match_filtered_oracle():
-    disc = Discretization(n=20)
-    bins = ((0, 6), (7, 12), (15, 19))  # v 13 and 14 fall in no bin
-    oracle_sets = {p: naive_triples(p, disc) for p in prevalence_grid(disc, 0.01)}
-    for eps_idx in (0, 1, 3):
-        expected = []
-        for lo, hi in bins:
-            in_bin = {p: {t for t in s if lo <= t[2] <= hi} for p, s in oracle_sets.items()}
-            expected.append(
+    cases = [
+        (Discretization(n=20), ((0, 6), (7, 12), (15, 19))),  # v 13 and 14 fall in no bin
+        # (4, 8) holds no triple at p = 1 or from p = 11 on, so sets are empty mid-grid
+        (Discretization(n=20, alpha_range=(2, 15), beta_range=(3, 12)), ((4, 8), (13, 19), (0, 3))),
+    ]
+    for disc, bins in cases:
+        oracle_sets = {p: naive_triples(p, disc) for p in prevalence_grid(disc, 0.01)}
+        in_bins = [
+            {p: {t for t in s if lo <= t[2] <= hi} for p, s in oracle_sets.items()} for lo, hi in bins
+        ]
+        for eps_idx in (0, 1, 3):
+            expected = [
                 sum(naive_joint_count(in_bin[p1], in_bin[p2], eps_idx) for p1 in in_bin for p2 in in_bin)
-            )
-        assert ppv_binned_counts(disc, eps_idx / 20, bins=bins) == expected
-        assert ppv_binned_counts(disc, eps_idx / 20, bins=bins[::-1]) == expected[::-1]
+                for in_bin in in_bins
+            ]
+            assert ppv_binned_counts(disc, eps_idx / 20, bins=bins) == expected
+            assert ppv_binned_counts(disc, eps_idx / 20, bins=bins[::-1]) == expected[::-1]
+    assert not in_bins[0][1] and in_bins[0][5] and not in_bins[0][11]
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_default_bins_tile_v_range(n):
+    disc = Discretization(n=n)
+    bins = quartile_bins(disc)
+    assert len(bins) == 4 and bins[0][0] == disc.v_range[0] and bins[-1][1] == disc.v_range[1]
+    assert all(lo <= hi and hi + 1 == nxt for (lo, hi), (nxt, _) in zip(bins, bins[1:]))
+    # at eps 0 a pair shares its PPV index, so bins that tile v_range split the total
+    totals = ppv_binned_counts(disc, 0.0)
+    assert len(totals) == 4 and sum(totals) == heatmap(disc, 0.0).total
+
+
+def test_default_bins_are_the_quarters_of_v_range():
+    assert quartile_bins(Discretization(n=100)) == [(0, 24), (25, 49), (50, 74), (75, 99)]
+    assert quartile_bins(Discretization(n=10, v_range=(4, 5))) == [(4, 4), (5, 5)]  # empty quarters left out
+
+
+def test_binned_counts_reject_bad_eps():
+    for eps in (-0.01, 1.01, math.nan):
+        with pytest.raises(ValueError):
+            ppv_binned_counts(Discretization(n=10), eps)
+
+
+def test_memoized_sets_give_the_counts_of_cold_calls():
+    narrow = Discretization(n=24, alpha_range=(3, 20), beta_range=(2, 15))
+    wide = Discretization(n=24, alpha_range=(0, 24), beta_range=(0, 24), v_range=(0, 24))
+    calls = [  # interleaved, so the memo switches between the two and refills
+        (narrow, "heatmap", (0.1, 0.01, False)),
+        (narrow, "heatmap", (0.2, 0.02, True)),
+        (narrow, "bins", (0.1, None)),
+        (wide, "heatmap", (0.0, 0.02, False)),
+        (wide, "bins", (0.1, ((0, 4), (20, 24)))),
+        (wide, "heatmap", (0.1, 0.01, True)),
+        (narrow, "bins", (0.05, ((10, 12),))),
+        (narrow, "heatmap", (0.05, 0.01, False)),
+        (wide, "heatmap", (0.2, 0.01, False)),
+    ]
+
+    def run(disc, kind, args):
+        if kind == "bins":
+            return ppv_binned_counts(disc, args[0], bins=args[1])
+        hm = heatmap(disc, *args)
+        return hm.counts.tolist(), hm.total
+
+    warm = [run(*call) for call in calls]
+    assert region_module._triple_memo.cache_info().currsize == 1
+    memo = region_module._triple_memo(wide)
+    assert memo and all(not t.flags.writeable for t in memo.values())
+    cold = []
+    for call in calls:
+        region_module._triple_memo.cache_clear()
+        cold.append(run(*call))
+    assert warm == cold
+    fresh = enumerate_triples(5, wide).triples
+    assert fresh.flags.writeable and fresh.flags.owndata
 
 
 def test_binned_counts_reject_overlap():
