@@ -220,7 +220,7 @@ def test_criterion_5_grid_counts_with_sensitivity():
         f"grid counts at n=100: exact-target match={exact}; fallback checks "
         f"diagonal-only={diagonal_only}, eps-monotone={monotone}, "
         f"lowest-to-highest-bin-growth={lowest_to_highest} "
-        f"({heatmap_seconds:.0f}s for 5 heatmaps + bins)",
+        f"({heatmap_seconds:.2f}s for 5 heatmaps + bins)",
     )
 
 

@@ -316,6 +316,12 @@ def test_resolution_limit_rejected_before_enumeration():
         Discretization(n=MAX_N + 1)
 
 
+def test_list_ranges_are_stored_as_tuples():
+    disc = Discretization(n=10, v_range=[2, 7])  # a list would leave the instance unhashable
+    assert disc.v_range == (2, 7) and disc == Discretization(n=10, v_range=(2, 7))
+    assert heatmap(disc, 0.1).total == heatmap(Discretization(n=10, v_range=(2, 7)), 0.1).total
+
+
 def test_discretization_validates_ranges():
     with pytest.raises(ValueError):
         Discretization(n=1)
