@@ -218,7 +218,6 @@ def test_ppv_window_restricts_counts():
 def test_binned_counts_match_filtered_oracle():
     cases = [
         (Discretization(n=20), ((0, 6), (7, 12), (15, 19))),  # v 13 and 14 fall in no bin
-        # (4, 8) holds no triple at p = 1 or from p = 11 on, so sets are empty mid-grid
         (Discretization(n=20, alpha_range=(2, 15), beta_range=(3, 12)), ((4, 8), (13, 19), (0, 3))),
     ]
     for disc, bins in cases:
@@ -233,6 +232,7 @@ def test_binned_counts_match_filtered_oracle():
             ]
             assert ppv_binned_counts(disc, eps_idx / 20, bins=bins) == expected
             assert ppv_binned_counts(disc, eps_idx / 20, bins=bins[::-1]) == expected[::-1]
+    # narrowed case: (4, 8) holds no triple at p = 1 or from p = 11 on, so sets are empty mid-grid
     assert not in_bins[0][1] and in_bins[0][5] and not in_bins[0][11]
 
 
