@@ -26,7 +26,11 @@ class ZeroEpsP(FairfeasError):
 
 
 class SingularDenominator(FairfeasError):
-    """The governing-equation denominator is (numerically) zero."""
+    """The governing equation has no usable float root.
+
+    Its slope is exactly 0, its root lies beyond the float range, or the
+    residual at the rounded root exceeds the solver's tolerance.
+    """
 
 
 class BadPrevalence(FairfeasError):

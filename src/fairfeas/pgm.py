@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def write_pgm(values: np.ndarray, path, log_scale: bool = True) -> None:
+def write_pgm(values: np.ndarray, path) -> None:
     """Write a 2-D array as a P5 PGM image.
 
     Boolean masks map to {0, 255}. Non-negative count grids are
-    max-normalized, by default after log1p so sparse large counts do
-    not crush the rest of the dynamic range.
+    max-normalized after log1p, so sparse large counts do not crush the
+    rest of the dynamic range.
     """
     a = np.asarray(values)
     if a.ndim != 2:
@@ -20,7 +20,7 @@ def write_pgm(values: np.ndarray, path, log_scale: bool = True) -> None:
     else:
         if (a < 0).any():
             raise ValueError("pixel source values must be non-negative")
-        scaled = np.log1p(a.astype(np.float64)) if log_scale else a.astype(np.float64)
+        scaled = np.log1p(a.astype(np.float64))
         peak = scaled.max()
         pixels = (
             np.zeros(a.shape, dtype=np.uint8)

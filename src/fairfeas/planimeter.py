@@ -88,16 +88,14 @@ def estimate_area(
     fam: CurveFamily,
     fill: FillMode = "curve-only",
     sample_step: float | None = None,
-    circle_area: bool = False,
     radius: float | None = None,
 ) -> tuple[PlanimeterEstimate, np.ndarray]:
     """Satisfied-detector count for the family, plus the boolean mask.
 
     fill="below"/"above" additionally satisfies detectors on that side
-    of any curve. circle_area scales the reported count by pi/4 (the
-    covered-circle variant); the default fraction-of-detectors form is
-    the one consistent with estimating the fraction of the unit square.
-    radius overrides the detection tolerance (defaults to the grid's);
+    of any curve. The count's fraction of all detectors estimates the
+    fraction of the unit square. radius overrides the detection
+    tolerance (defaults to the grid's).
     Returns (estimate, mask) with mask shaped (g, g), indexed [ix, iy].
     """
     r = grid.radius if radius is None else radius
@@ -127,10 +125,7 @@ def estimate_area(
         if satisfied.all():
             break
 
-    count = int(satisfied.sum())
-    if circle_area:
-        count = int(round(count * math.pi / 4.0))
-    return PlanimeterEstimate(satisfied=count, total=g**2), by_cell
+    return PlanimeterEstimate(satisfied=int(satisfied.sum()), total=g**2), by_cell
 
 
 def estimate_to_json(est: PlanimeterEstimate, g: int) -> str:

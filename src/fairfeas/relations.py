@@ -1,20 +1,17 @@
 """Closed-form relations between group metrics under relaxed parity.
 
 Sign convention throughout: group-2 quantities equal group-1 quantities
-plus the corresponding epsilon (p2 = p1 + eps_p, and so on). Every
-solved-for quantity is anchored by a residual function that evaluates
-the underlying balance equation directly, so the convention is testable.
+plus the corresponding epsilon (p2 = p1 + eps_p, and so on). Each
+balance equation is written once, as a residual function, and the
+solver for its root is derived from that form, so the two cannot drift
+apart and the convention is testable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularDenominator, ZeroEpsP
-
-#: Denominators below this magnitude are treated as singular.
-DEFAULT_SINGULARITY_THRESHOLD = 1e-12
 
 
 def _check_open_unit(name: str, x: float):
@@ -119,18 +116,11 @@ def acc_identity(p: float, fnr: float, fpr: float) -> float:
 def relaxed_fnr_acc(r: AccRelaxation, fpr1: float) -> float:
     """Group-1 FNR that balances accuracies under the given tolerances.
 
-    The result may fall outside [0, 1]; callers clip against the unit
-    square when plotting.
+    The balance is linear in fnr1 with slope eps_p, so the root is read
+    off the residual at fnr1 = 0. The result may fall outside [0, 1];
+    callers clip against the unit square when plotting.
     """
-    return (
-        -r.eps_fpr
-        + r.eps_acc
-        + r.eps_fpr * r.p
-        - r.eps_fnr * r.p
-        + fpr1 * r.eps_p
-        + r.eps_fpr * r.eps_p
-        - r.eps_fnr * r.eps_p
-    ) / r.eps_p
+    return -residual_acc_balance(r, fpr1, 0.0) / r.eps_p
 
 
 def residual_acc_balance(r: AccRelaxation, fpr1: float, fnr1: float) -> float:
@@ -162,55 +152,56 @@ def fairness_area_acc(spec: RegionSpec) -> float:
     return 2.0 * c - c * c
 
 
-def relaxed_fnr_ppv(
-    r: PpvRelaxation, singularity_threshold: float = DEFAULT_SINGULARITY_THRESHOLD
-) -> float:
-    """Group-1 FNR (beta) solving the relaxed PPV balance equation.
+def _ppv_balance(r: PpvRelaxation) -> tuple[int, int, int]:
+    """Integers (a, b, d), d > 0, with PPV balance(beta) = (a + b*beta) / d.
 
-    Raises SingularDenominator when the governing denominator vanishes
-    (e.g. eps_p = eps_v = 0, where the constraint degenerates and any
-    beta satisfies it), or when (1 - p2) * v2 is so near 0 that half a float
-    step of beta moves the residual past 1e-9. The result may fall outside [0, 1].
+    The balance is LHS - RHS of P (1 - beta) = Q (1 - beta - eps_fnr) + eps_fpr,
+    where P = p/(1-p) * (1-v)/v and Q is the same product at p2 = p + eps_p
+    and v2 = v + eps_v, so a = P - Q (1 - eps_fnr) - eps_fpr and b = Q - P.
+    It is evaluated exactly on the binary values of the inputs (each float
+    is n/d with d a power of two).
     """
-    p, v = r.p, r.v
-    ea, eb, ev, ep = r.eps_fpr, r.eps_fnr, r.eps_v, r.eps_p
-    den = ep * (p * ev - v * v - v * ev + v) + (p - 1.0) * p * ev
-    if abs(den) <= singularity_threshold:
-        raise SingularDenominator(f"denominator {den} below threshold")
-    num = (
-        ep * (v * v * (ea * (p - 1.0) - 1.0) + v * ev * (ea * (p - 1.0) - 1.0) + p * ev + v)
-        + (p - 1.0) * (ea * (p - 1.0) * v * (v + ev) + p * ev)
-        - eb * (p - 1.0) * v * (p + ep) * (v + ev - 1.0)
-    )
-    beta = num / den
-    # The balance is exactly linear in beta, so one Newton step removes
-    # the floating-point cancellation left by the closed-form quotient.
-    r0 = residual_ppv_balance(r, 0.0)
-    slope = residual_ppv_balance(r, 1.0) - r0
-    if slope != 0.0 and math.isfinite(beta):
-        beta -= residual_ppv_balance(r, beta) / slope
-        if abs(slope) * math.ulp(beta) / 2 > 1e-9:
-            raise SingularDenominator(f"residual slope {slope} in beta exceeds float resolution")
-    return beta
-
-
-def residual_ppv_balance(r: PpvRelaxation, beta: float) -> float:
-    """LHS - RHS of the relaxed PPV balance at beta; oracle for the solver.
-
-    Evaluated exactly on the binary values of the inputs (each float is
-    n/d with d a power of two) and rounded once, for a finite beta. Near
-    a singular balance beta runs into the thousands or beyond, where the
-    rounding of a float evaluation alone would exceed 1e-9.
-    """
-    (pn, pd), (vn, vd), (bn, bd) = (x.as_integer_ratio() for x in (r.p, r.v, beta))
+    (pn, pd), (vn, vd) = r.p.as_integer_ratio(), r.v.as_integer_ratio()
     (en, ed), (wn, wd) = r.eps_p.as_integer_ratio(), r.eps_v.as_integer_ratio()
     (fn, fd), (an, ad) = r.eps_fnr.as_integer_ratio(), r.eps_fpr.as_integer_ratio()
     qn, qd = pn * ed + en * pd, pd * ed  # p2 = p + eps_p
     un, ud = vn * wd + wn * vd, vd * wd  # v2 = v + eps_v
-    # lhs = p/(1-p) * (1-v)/v * (1-beta)
-    ln, ld = pn * (vd - vn) * (bd - bn), (pd - pn) * vn * bd
-    # rhs = p2/(1-p2) * (1-v2)/v2 * (1-beta-eps_fnr) + eps_fpr
-    rn = qn * (ud - un) * ((bd - bn) * fd - fn * bd)
-    rd = (qd - qn) * un * bd * fd
-    rn, rd = rn * ad + an * rd, rd * ad
-    return (ln * rd - rn * ld) / (ld * rd)  # int / int rounds once
+    p_num, p_den = pn * (vd - vn), (pd - pn) * vn  # P
+    q_num, q_den = qn * (ud - un), (qd - qn) * un  # Q
+    a = (p_num * q_den * fd - q_num * p_den * (fd - fn)) * ad - an * p_den * q_den * fd
+    b = (q_num * p_den - p_num * q_den) * fd * ad
+    return a, b, p_den * q_den * fd * ad
+
+
+def relaxed_fnr_ppv(r: PpvRelaxation) -> float:
+    """Group-1 FNR (beta) solving the relaxed PPV balance equation.
+
+    The root -a/b of the exact balance is rounded once. Raises
+    SingularDenominator when b is exactly 0 (e.g. eps_p = eps_v = 0, where
+    any beta or none satisfies the constraint) or the root lies beyond the
+    float range, and when (1 - p2) * v2 is so near 0 that the residual at
+    the rounded root exceeds 1e-9. The result may fall outside [0, 1].
+    """
+    a, b, d = _ppv_balance(r)
+    if b == 0:
+        raise SingularDenominator("the PPV balance does not depend on beta")
+    try:
+        beta = -a / b  # int / int rounds once
+    except OverflowError:
+        raise SingularDenominator("the root of the PPV balance exceeds the float range") from None
+    bn, bd = beta.as_integer_ratio()
+    if abs(a * bd + b * bn) * 10**9 > d * bd:
+        raise SingularDenominator("the residual at the rounded root exceeds 1e-9")
+    return beta
+
+
+def residual_ppv_balance(r: PpvRelaxation, beta: float) -> float:
+    """LHS - RHS of the relaxed PPV balance at beta; zero at the solver's root.
+
+    Evaluated exactly and rounded once, for a finite beta. Near a singular
+    balance beta runs into the thousands or beyond, where the rounding of
+    a float evaluation alone would exceed 1e-9.
+    """
+    a, b, d = _ppv_balance(r)
+    bn, bd = beta.as_integer_ratio()
+    return (a * bd + b * bn) / (d * bd)  # int / int rounds once

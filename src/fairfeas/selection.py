@@ -379,15 +379,13 @@ def k_scan(
     cap: float = 0.7,
     bounds: tuple[float, float] = (0.8, 1.2),
     k_grid: Sequence[int] = tuple(range(5, 101, 5)),
-    delta_tp: int = 0,
-    reference_group: Optional[str] = None,
 ) -> KScanReport:
     """Sweep k over percentage grid points and flag the zero-cost ones.
 
-    A grid point is optimal when the disparity constraints cost at most
-    delta_tp true positives versus the cap-only optimum (default:
-    exactly zero). The summary is "All", "None", or the longest
-    contiguous optimal run "[a,b]" in percent (ties toward smaller a).
+    A grid point is optimal when the disparity constraints cost no true
+    positives: the constrained optimum equals the cap-only one. The
+    summary is "All", "None", or the longest contiguous optimal run
+    "[a,b]" in percent (ties toward smaller a).
     """
     groups = tuple(groups)
     n = sum(g.n for g in groups)
@@ -400,7 +398,6 @@ def k_scan(
             ppv_cap=cap,
             lb=bounds[0],
             ub=bounds[1],
-            reference_group=reference_group,
         )
         try:
             ideal = unconstrained_max_tp(inst)
@@ -408,7 +405,7 @@ def k_scan(
             return KScanRow(pct, k, None, None, False)
         res = solve_exact(inst)
         got = res.tp_total if res.status == "optimal" else None
-        return KScanRow(pct, k, ideal, got, got is not None and ideal - got <= delta_tp)
+        return KScanRow(pct, k, ideal, got, got == ideal)
 
     rows = [solve_point(pct) for pct in k_grid]
     return KScanReport(rows=tuple(rows), summary=_summarize(rows))

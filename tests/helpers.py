@@ -7,8 +7,9 @@ must reproduce row for row, the selection oracle enumerates every
 C(n, k) item subset, the reference solver is the group-count search in
 Fraction arithmetic that the integer solver must reproduce allocation
 for allocation, the planimeter oracle measures every detector against
-every curve point, and the row-based loader and sampler are the per-row
-data layer that the columnar one must reproduce row for row.
+every curve point, the row-based loader and sampler are the per-row
+data layer that the columnar one must reproduce row for row, and the
+PPV balance oracle writes the relaxed PPV balance out in Fractions.
 """
 
 from __future__ import annotations
@@ -58,6 +59,19 @@ def naive_triples(p_idx: int, disc) -> set[tuple[int, int, int]]:
                 if alpha == (p / (1 - p)) * ((1 - ppv) / ppv) * (1 - beta):
                     out.add((a, b, v))
     return out
+
+
+def ppv_balance_oracle(r, beta: float) -> Fraction:
+    """LHS - RHS of the relaxed PPV balance at beta, from the definition.
+
+    p/(1-p) (1-v)/v (1-beta) against p2/(1-p2) (1-v2)/v2 (1-beta-eps_fnr)
+    + eps_fpr with p2 = p + eps_p and v2 = v + eps_v, all in Fractions.
+    """
+    p, v, b = Fraction(r.p), Fraction(r.v), Fraction(beta)
+    p2, v2 = p + Fraction(r.eps_p), v + Fraction(r.eps_v)
+    lhs = p / (1 - p) * (1 - v) / v * (1 - b)
+    rhs = p2 / (1 - p2) * (1 - v2) / v2 * (1 - b - Fraction(r.eps_fnr)) + Fraction(r.eps_fpr)
+    return lhs - rhs
 
 
 def reference_enumerate_triples(p_idx: int, disc) -> np.ndarray:

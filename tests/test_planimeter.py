@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -88,14 +87,6 @@ def test_sample_step_validation():
     grid = DetectorGrid(g=10)
     with pytest.raises(BadSampleStep):
         estimate_area(grid, line_family(1.0, [0.0]), sample_step=grid.radius * 2)
-
-
-def test_circle_area_variant_scales_count():
-    grid = DetectorGrid(g=20)
-    fam = line_family(1.0, [0.0])
-    plain, _ = estimate_area(grid, fam, fill="below")
-    scaled, _ = estimate_area(grid, fam, fill="below", circle_area=True)
-    assert scaled.satisfied == int(round(plain.satisfied * math.pi / 4.0))
 
 
 def test_mask_shape_and_orientation():

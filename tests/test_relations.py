@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +19,8 @@ from fairfeas.relations import (
     residual_acc_balance,
     residual_ppv_balance,
 )
+
+from helpers import ppv_balance_oracle
 
 unit_open = st.floats(0.05, 0.95)
 small_eps = st.floats(-0.2, 0.2)
@@ -168,6 +171,21 @@ EDGE_PPV_RELAXATIONS = [
 ]
 
 
+# p2 = 0.5 + eps_p, so the slope Q - P in beta is about 4 * eps_p: tiny, not 0
+@pytest.mark.parametrize("eps_fpr, eps_p, beta", [(0.0, 5e-324, 1.0), (0.1, 1e-300, 2.5e298)])
+def test_relaxed_fnr_ppv_tiny_prevalence_gap(eps_fpr, eps_p, beta):
+    r = PpvRelaxation(eps_fpr=eps_fpr, eps_fnr=0.0, eps_v=0.0, eps_p=eps_p, p=0.5, v=0.5)
+    assert relaxed_fnr_ppv(r) == beta
+    assert abs(residual_ppv_balance(r, beta)) < 1e-9
+
+
+def test_relaxed_fnr_ppv_root_beyond_float_range():
+    # the root is about 0.025 / eps_p = 5e321
+    r = PpvRelaxation(eps_fpr=0.1, eps_fnr=0.0, eps_v=0.0, eps_p=5e-324, p=0.5, v=0.5)
+    with pytest.raises(SingularDenominator):
+        relaxed_fnr_ppv(r)
+
+
 @pytest.mark.parametrize("r", EDGE_PPV_RELAXATIONS)
 def test_relaxed_fnr_ppv_rejects_balance_steeper_than_float_resolution(r):
     with pytest.raises(SingularDenominator):
@@ -186,3 +204,25 @@ def test_ppv_solution_zeroes_residual(r):
     except SingularDenominator:
         return
     assert abs(residual_ppv_balance(r, beta)) < 1e-9
+
+
+@given(ppv_relaxations(), st.floats(-2.0, 2.0))
+@settings(max_examples=300)
+@example(EDGE_PPV_RELAXATIONS[0], 0.875)
+@example(EDGE_PPV_RELAXATIONS[1], 0.875)
+def test_ppv_balance_matches_fraction_oracle(r, beta):
+    assert residual_ppv_balance(r, beta) == float(ppv_balance_oracle(r, beta))
+    a = ppv_balance_oracle(r, 0.0)
+    b = ppv_balance_oracle(r, 1.0) - a
+    try:
+        root = relaxed_fnr_ppv(r)
+    except SingularDenominator:
+        # b is 0, the root overflows, or the rounded root misses by over 1e-9
+        if b != 0:
+            try:
+                rounded = float(-a / b)
+            except OverflowError:
+                return
+            assert abs(ppv_balance_oracle(r, rounded)) > Fraction(1, 10**9)
+        return
+    assert root == float(-a / b)
