@@ -3,9 +3,12 @@
 The per-item problem (pick k rows maximizing true positives subject to
 a list-PPV cap and per-group FPR/FNR/PPV ratio bounds against a
 reference group) depends on rows only through each group's selected
-positive count t_j and selected negative count f_j. Searching over
-those integer allocations with an admissible true-positive bound is
-therefore exact, with no LP relaxation or external solver.
+positive count t_j and selected negative count f_j, so a search over
+those integer allocations is exact, with no LP relaxation or external
+solver. Two groups are searched by objective value, one integer test
+per (t_ref, t) cell; one group or three and more by branch-and-bound
+with a depth-first descent. Ties go, on both paths, to the first
+allocation in the order t_ref descending, then f_ref ascending.
 
 All ratio constraints are checked exactly, by integer
 cross-multiplication in the search and again with fractions.Fraction
@@ -15,6 +18,7 @@ artifacts of floating-point rounding.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -165,25 +169,66 @@ def _num_interval(
     return lo, hi
 
 
-def solve_exact(inst: SelectionInstance) -> SelectionResult:
-    """Maximize selected true positives under all constraints, exactly.
+def _two_group_search(ref, others, k, cap_t, lb, ub) -> Optional[list[tuple[str, int, int]]]:
+    """solve_exact's allocation when others holds one group g, or None.
+
+    The total T = t_ref + t descends from its largest possible value; the
+    first T with a feasible cell (t_ref, t) is the optimum. In a cell the
+    F = k - T selected negatives split as f_ref + f, and every constraint
+    left (supply, FPR interval, PPV wedge) is linear in f_ref once
+    cross-multiplied, so the least feasible f_ref is one maximum of
+    ceilings against one minimum of floors. A lower bound lb <= 0 is
+    vacuous and dropped. Cells are visited t_ref descending, so the first
+    feasible one, with its least f_ref, is the tie rule's allocation.
+    """
+    (g,), (l0, l1) = others, lb
+    (P, N), (Po, No) = (ref.positives, ref.negatives), (g.positives, g.negatives)
+
+    def band(t_ref):  # the t range that FNR parity with t_ref allows
+        fn_lo, fn_hi = _num_interval(P - t_ref, P, Po, lb, ub)
+        return max(Po - fn_hi, 0), min(Po - fn_lo, Po)
+
+    for T in range(min(cap_t, P + Po, k), -1, -1):
+        F = k - T
+        if F > N + No:
+            break  # F only grows as T falls
+        # the f_ref range that supply and the FPR interval leave; F alone fixes it
+        lo, hi = max(F - No, 0), min(F, N)
+        if N and No:
+            if l0 > 0:
+                hi = min(hi, l1 * N * F // (l0 * No + l1 * N))
+            if ub is not None:
+                lo = max(lo, -(-ub[1] * N * F // (ub[0] * No + ub[1] * N)))
+        if lo > hi:
+            continue
+        # both ends of t_ref + band(t_ref) are non-decreasing, so the cells
+        # whose t = T - t_ref lies in the band form one window of t_ref
+        ts = range(min(P, T) + 1)
+        first = bisect.bisect_left(ts, T, key=lambda t_ref: t_ref + band(t_ref)[1])
+        last = bisect.bisect_right(ts, T, key=lambda t_ref: t_ref + band(t_ref)[0]) - 1
+        for t_ref in range(last, first - 1, -1):
+            t, f_lo, f_hi = T - t_ref, lo, hi
+            # PPV wedge l0*t_ref*rem <= l1*s_ref*t and u1*s_ref*t <= u0*t_ref*rem,
+            # s_ref = t_ref + f_ref, rem = t + F - f_ref; vacuous when t = t_ref = 0
+            if l0 > 0 and t + t_ref:
+                f_lo = max(f_lo, -((l1 * t - l0 * (t + F)) * t_ref // (l1 * t + l0 * t_ref)))
+            if ub is not None and t + t_ref:
+                f_hi = min(f_hi, (ub[0] * (t + F) - ub[1] * t) * t_ref // (ub[1] * t + ub[0] * t_ref))
+            if f_lo <= f_hi:
+                return [(ref.group_key, t_ref, f_lo), (g.group_key, t, F - f_lo)]
+    return None
+
+
+def _branch_and_bound(ref, others, k, cap_t, lb, ub) -> Optional[list[tuple[str, int, int]]]:
+    """solve_exact's allocation for any number of other groups, or None.
 
     Enumerates the reference group's allocation first (t_ref descending,
     f_ref ascending), which fixes every ratio interval, then searches
     the remaining groups depth-first (t descending, f ascending) with an
-    admissible bound; the last group is resolved in closed form. Every
-    constraint is an integer cross-multiplication: the FPR intervals
-    are tabulated once per f_ref, the FNR intervals once per t_ref, and
-    the PPV wedge becomes a range of f for each t. The returned
-    allocation is re-verified with Fractions by check_allocation.
+    admissible bound; the last group is resolved in closed form. The
+    FPR intervals are tabulated once per f_ref, the FNR intervals once
+    per t_ref, and the PPV wedge becomes a range of f for each t.
     """
-    lb_q, ub_q = _to_fraction(inst.lb), _to_fraction(inst.ub)
-    lb = (lb_q.numerator, lb_q.denominator)
-    ub = None if ub_q is None else (ub_q.numerator, ub_q.denominator)
-    cap_t = _floor_frac(_to_fraction(inst.ppv_cap) * inst.k)
-    k = inst.k
-    ref = next(g for g in inst.groups if g.group_key == inst.reference_group)
-    others = [g for g in inst.groups if g.group_key != inst.reference_group]
     m = len(others)
     # capacity of groups after position i in the search order
     suffix_cap = [0] * (m + 1)
@@ -280,6 +325,26 @@ def solve_exact(inst: SelectionInstance) -> SelectionResult:
                 c, e = (1, 1) if ub is None else (ub[0] * t_ref, ub[1] * s_ref)
                 wedge = (lb[0] * t_ref, lb[1] * s_ref, c, e)
             descend(0, s_ref, t_ref, [(ref.group_key, t_ref, f_ref)])
+    return best_alloc
+
+
+def solve_exact(inst: SelectionInstance) -> SelectionResult:
+    """Maximize selected true positives under all constraints, exactly.
+
+    Returns the first allocation of greatest total in the order t_ref
+    descending, then f_ref ascending (the reference group's selected
+    positives and negatives); see _two_group_search and
+    _branch_and_bound. The allocation is re-verified with Fractions by
+    check_allocation.
+    """
+    lb_q, ub_q = _to_fraction(inst.lb), _to_fraction(inst.ub)
+    lb = (lb_q.numerator, lb_q.denominator)
+    ub = None if ub_q is None else (ub_q.numerator, ub_q.denominator)
+    cap_t = _floor_frac(_to_fraction(inst.ppv_cap) * inst.k)
+    ref = next(g for g in inst.groups if g.group_key == inst.reference_group)
+    others = [g for g in inst.groups if g.group_key != inst.reference_group]
+    search = _two_group_search if len(others) == 1 else _branch_and_bound
+    best_alloc = search(ref, others, inst.k, cap_t, lb, ub)
 
     if best_alloc is None:
         return SelectionResult(

@@ -71,8 +71,22 @@ def test_group_count_optimum_matches_item_oracle():
         assert got == expected, f"instance {inst}"
 
 
-RATIO_BOUNDS = ((0.8, 1.2), (0.5, math.inf), (1, 1))
+# a lower bound <= 0 makes every lower-bound inequality vacuous
+RATIO_BOUNDS = ((0.8, 1.2), (0.5, math.inf), (1, 1), (-0.5, 1.2), (0, math.inf))
 CAPS = (0.3, 0.7, 1.0)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Allocations that solve_exact passed through check_allocation."""
+    allocations = []
+    real_check = selection.check_allocation
+    monkeypatch.setattr(
+        selection,
+        "check_allocation",
+        lambda inst, alloc: allocations.append(alloc) or real_check(inst, alloc),
+    )
+    return allocations
 
 
 def assert_matches_reference(inst):
@@ -86,17 +100,10 @@ def assert_matches_reference(inst):
 
 
 @pytest.mark.parametrize("n_groups", [1, 2, 3, 4])
-def test_solve_exact_matches_reference_solver(n_groups, monkeypatch):
+def test_solve_exact_matches_reference_solver(n_groups, checked):
     # same status, optimum and tie-broken allocation as the Fraction
     # search on every k; a quarter of the groups lack positives and a
     # quarter lack negatives, so every zero-denominator rule is exercised
-    checked = []
-    real_check = selection.check_allocation
-    monkeypatch.setattr(
-        selection,
-        "check_allocation",
-        lambda inst, alloc: checked.append(alloc) or real_check(inst, alloc),
-    )
     optimal = 0
     rng = random.Random(1000 + n_groups)
     for _ in range(4):
@@ -128,6 +135,45 @@ def test_solve_exact_matches_reference_solver_few_hundred_rows(supply):
     for lb, ub in RATIO_BOUNDS:
         for pct in (5, 30, 55, 80, 100):
             assert_matches_reference(SelectionInstance(groups, pct * total // 100, 0.7, lb, ub))
+
+
+@pytest.mark.parametrize("ref", ["g0", "g1"])
+@pytest.mark.parametrize("lb, ub", RATIO_BOUNDS + ((-0.5, math.inf),))
+def test_two_group_search_matches_reference_solver(lb, ub, ref, checked):
+    # the by-objective two-group path against the Fraction search on
+    # every k: one supply pair of each kind (plain, a group without
+    # positives, a group without negatives), caps from 0.35 to 1
+    rng = random.Random(f"{lb} {ub} {ref}")
+    optimal = 0
+    for kind in ("plain", "no positives", "no negatives"):
+        supply = [[rng.randint(1, 12), rng.randint(1, 12)] for _ in range(2)]
+        if kind != "plain":
+            supply[rng.randrange(2)][kind == "no negatives"] = 0
+        groups = tuple(GroupSupply(f"g{j}", p, n) for j, (p, n) in enumerate(supply))
+        for cap in (0.35, 0.6, 0.85, 1.0):
+            for k in range(1, sum(g.n for g in groups) + 1):
+                inst = SelectionInstance(groups, k, cap, lb, ub, ref)
+                optimal += assert_matches_reference(inst).status == "optimal"
+    assert optimal > 0 and len(checked) == optimal
+
+
+def test_two_group_search_matches_reference_solver_large():
+    # the reference-pair loop passes 20,828 (t_ref, f_ref) pairs to its
+    # descent here; the two-group path must pick the same allocation
+    groups = (GroupSupply("a", 200, 200), GroupSupply("b", 80, 320))
+    res = assert_matches_reference(SelectionInstance(groups, k=240))
+    assert res.tp_total == 46
+
+
+def test_k_scan_full_table_two_groups(checked):
+    # the analyze-sampled supply at full size, 200k rows, default grid
+    groups = (GroupSupply("a0", 48_000, 72_000), GroupSupply("a1", 24_000, 56_000))
+    report = k_scan(groups)
+    assert report.summary == "[5,95]"
+    # at 100% everything is selected, and the PPV ratio 0.3/0.4 = 0.75 is below 0.8
+    assert report.rows[-1].unconstrained_tp == 72_000
+    assert report.rows[-1].constrained_tp is None
+    assert len(checked) == sum(r.constrained_tp is not None for r in report.rows)
 
 
 def test_zero_positive_group_skips_fnr_constraint():
