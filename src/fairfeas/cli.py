@@ -8,6 +8,7 @@ are written atomically (temp file in the target directory, then rename).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -17,8 +18,6 @@ from pathlib import Path
 
 from . import data, pgm, planimeter, region, relations, selection
 from .errors import DomainError, FairfeasError, ZeroEpsP
-
-DEFAULT_K_GRID = tuple(range(5, 101, 5))
 
 
 def _atomic_write(path, writer) -> None:
@@ -132,7 +131,7 @@ def cmd_analyze(args) -> int:
             for g in stats.groups
         ],
         "max_prevalence_diff": stats.max_prevalence_diff,
-        "k_scan": json.loads(selection.report_to_json(scan)),
+        "k_scan": dataclasses.asdict(scan),
     }
     if args.intersect:
         fine = _grouping_from_arg(args.intersect)
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--cap", type=float, default=0.7, help="selection PPV cap (default 0.7)")
     p_an.add_argument("--lb", type=float, default=0.8, help="disparity ratio lower bound (default 0.8)")
     p_an.add_argument("--ub", type=float, default=1.2, help="disparity ratio upper bound (default 1.2)")
-    p_an.add_argument("--k-grid", default="5,10,15,20,25,30,35,40,45,50,55,60,65,70,75,80,85,90,95,100", help="comma-separated k percents")
+    p_an.add_argument("--k-grid", default=",".join(map(str, selection.DEFAULT_K_GRID)), help="comma-separated k percents")
     p_an.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p_an.add_argument("--sample-n", type=int, default=None, help="stratified sample size")
     p_an.add_argument("--out", default=None, help="also write the JSON report here")

@@ -52,6 +52,7 @@ class TableSchema:
             if key not in cfg:
                 raise ValueError(f"schema {path} has no {key!r} key")
         label, positive, sensitive = cfg["label"], cfg["positive"], cfg["sensitive"]
+        id_column = cfg.get("id")
         if not isinstance(label, str):
             raise ValueError(f"schema {path}: 'label' must be a column name, got {label!r}")
         if isinstance(positive, bool) or not isinstance(positive, (str, int)):
@@ -60,11 +61,13 @@ class TableSchema:
             raise ValueError(
                 f"schema {path}: 'sensitive' must be a list of column names, got {sensitive!r}"
             )
+        if id_column is not None and not isinstance(id_column, str):
+            raise ValueError(f"schema {path}: 'id' must be a column name or null, got {id_column!r}")
         return cls(
             label_column=label,
             positive_value=str(positive),
             sensitive_columns=tuple(sensitive),
-            id_column=cfg.get("id"),
+            id_column=id_column,
         )
 
 

@@ -41,10 +41,6 @@ class OverlappingBins(FairfeasError):
     """PPV bins overlap or leave the allowed index range."""
 
 
-class BadSampleStep(FairfeasError):
-    """Curve sampling step exceeds the detector radius."""
-
-
 class MissingColumn(FairfeasError):
     """A declared column is absent from the CSV header."""
 

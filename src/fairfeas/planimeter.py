@@ -16,7 +16,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .errors import BadSampleStep, DomainError
+from .errors import DomainError
 
 FillMode = Literal["below", "above", "curve-only"]
 MAX_G = 4096
@@ -26,8 +26,9 @@ MAX_G = 4096
 class DetectorGrid:
     """g x g detector lattice with spacing 1/(g-1) and radius spacing/2.
 
-    3 <= g <= MAX_G: 2**24 detectors take 256 MiB of float64 coordinates
-    and 16 MiB of mask, so a larger g is rejected before any allocation.
+    3 <= g <= MAX_G: 2**24 detectors take a 16 MiB mask, and each curve
+    marks O(g) detectors (all g^2 with a fill), so a larger g is rejected
+    before any allocation.
     """
 
     g: int
@@ -43,11 +44,6 @@ class DetectorGrid:
     @property
     def radius(self) -> float:
         return self.spacing / 2.0
-
-    def coordinates(self) -> np.ndarray:
-        """(g^2, 2) array of detector positions; row ix * g + iy is detector [ix, iy]."""
-        axis = np.linspace(0.0, 1.0, self.g)
-        return np.column_stack([np.repeat(axis, self.g), np.tile(axis, self.g)])
 
 
 @dataclass(frozen=True)
@@ -87,21 +83,18 @@ def estimate_area(
     grid: DetectorGrid,
     fam: CurveFamily,
     fill: FillMode = "curve-only",
-    sample_step: float | None = None,
-    radius: float | None = None,
 ) -> tuple[PlanimeterEstimate, np.ndarray]:
     """Satisfied-detector count for the family, plus the boolean mask.
 
-    fill="below"/"above" additionally satisfies detectors on that side
-    of any curve. The count's fraction of all detectors estimates the
-    fraction of the unit square. radius overrides the detection
-    tolerance (defaults to the grid's).
+    Each curve is sampled every r/2 in x, where r = grid.radius, and a
+    detector within r of a sample is satisfied. fill="below"/"above"
+    additionally satisfies detectors on that side of any curve. The
+    count's fraction of all detectors estimates the fraction of the unit
+    square.
     Returns (estimate, mask) with mask shaped (g, g), indexed [ix, iy].
     """
-    r = grid.radius if radius is None else radius
-    step = r / 2.0 if sample_step is None else sample_step
-    if step > r:
-        raise BadSampleStep(f"sample_step {step} exceeds detector radius {r}")
+    r = grid.radius
+    step = r / 2.0
     g, h = grid.g, grid.spacing
     axis = np.linspace(0.0, 1.0, g)
     satisfied = np.zeros(g * g, dtype=bool)

@@ -19,6 +19,12 @@ def _check_open_unit(name: str, x: float):
         raise DomainError(f"{name} must lie in (0, 1), got {x}")
 
 
+def _check_prevalences(p: float, eps_p: float):
+    """Both group prevalences, p and p2 = p + eps_p, lie in (0, 1)."""
+    _check_open_unit("p", p)
+    _check_open_unit("p + eps_p", p + eps_p)
+
+
 @dataclass(frozen=True)
 class AccRelaxation:
     """Tolerances for the FPR/FNR/ACC parity relaxation between two groups."""
@@ -30,15 +36,13 @@ class AccRelaxation:
     p: float
 
     def __post_init__(self):
-        _check_open_unit("p", self.p)
+        _check_prevalences(self.p, self.eps_p)
         for name in ("eps_fpr", "eps_fnr", "eps_acc", "eps_p"):
             v = getattr(self, name)
             if not -1.0 < v < 1.0:
                 raise DomainError(f"{name} must lie in (-1, 1), got {v}")
         if self.eps_p == 0.0:
             raise ZeroEpsP("equal-prevalence case is excluded")
-        if not 0.0 < self.p + self.eps_p < 1.0:
-            raise DomainError("p + eps_p must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -53,14 +57,12 @@ class PpvRelaxation:
     v: float
 
     def __post_init__(self):
-        _check_open_unit("p", self.p)
+        _check_prevalences(self.p, self.eps_p)
         _check_open_unit("v", self.v)
         for name in ("eps_fpr", "eps_fnr", "eps_v", "eps_p"):
             val = getattr(self, name)
             if not -1.0 < val < 1.0:
                 raise DomainError(f"{name} must lie in (-1, 1), got {val}")
-        if not 0.0 < self.p + self.eps_p < 1.0:
-            raise DomainError("p + eps_p must lie in (0, 1)")
         if not 0.0 < self.v + self.eps_v < 1.0:
             raise DomainError("v + eps_v must lie in (0, 1)")
 
@@ -78,9 +80,7 @@ class RegionSpec:
             raise DomainError(f"gamma must lie in (0, 1], got {self.gamma}")
         if self.eps_p == 0.0:
             raise ZeroEpsP("equal-prevalence case is excluded")
-        _check_open_unit("p", self.p)
-        if not self.eps_p < 1.0 - self.p:
-            raise DomainError("eps_p must be < 1 - p")
+        _check_prevalences(self.p, self.eps_p)
 
 
 @dataclass(frozen=True)

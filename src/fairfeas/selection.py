@@ -22,7 +22,7 @@ import bisect
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,6 +30,9 @@ from .errors import Infeasible, TooManyGroups
 from .metrics import MetricPoint
 
 MAX_GROUPS = 8
+
+#: k_scan's percentage grid: every 5% from 5 to 100.
+DEFAULT_K_GRID = tuple(range(5, 101, 5))
 
 #: Ratio constraints are enforced on these selection-restricted metrics.
 CONSTRAINED_METRICS = ("fpr", "fnr", "ppv")
@@ -443,7 +446,7 @@ def k_scan(
     groups: Sequence[GroupSupply],
     cap: float = 0.7,
     bounds: tuple[float, float] = (0.8, 1.2),
-    k_grid: Sequence[int] = tuple(range(5, 101, 5)),
+    k_grid: Sequence[int] = DEFAULT_K_GRID,
 ) -> KScanReport:
     """Sweep k over percentage grid points and flag the zero-cost ones.
 
@@ -498,22 +501,7 @@ def _summarize(rows: Sequence[KScanRow]) -> str:
 
 
 def report_to_json(report: KScanReport) -> str:
-    return json.dumps(
-        {
-            "rows": [
-                {
-                    "k_pct": r.k_pct,
-                    "k_abs": r.k_abs,
-                    "unconstrained_tp": r.unconstrained_tp,
-                    "constrained_tp": r.constrained_tp,
-                    "optimal": r.optimal,
-                }
-                for r in report.rows
-            ],
-            "summary": report.summary,
-        },
-        indent=2,
-    )
+    return json.dumps(asdict(report), indent=2)
 
 
 def report_to_csv(

@@ -327,7 +327,7 @@ def reference_solve_exact(inst: SelectionInstance) -> SelectionResult:
     return result
 
 
-def brute_force_mask(grid, fam, fill="curve-only", sample_step=None, radius=None):
+def brute_force_mask(grid, fam, fill="curve-only"):
     """Planimeter mask, shaped (g, g) and indexed [ix, iy], by brute force.
 
     Per curve, every detector is compared with every in-square curve
@@ -336,8 +336,8 @@ def brute_force_mask(grid, fam, fill="curve-only", sample_step=None, radius=None
     """
     g = grid.g
     axis = np.linspace(0.0, 1.0, g)
-    r = grid.radius if radius is None else radius
-    step = r / 2.0 if sample_step is None else sample_step
+    r = grid.radius
+    step = r / 2.0
     xs = np.clip(np.arange(0.0, 1.0 + step / 2.0, step), 0.0, 1.0)
     satisfied = np.zeros((g, g), dtype=bool)
     for theta in fam.thetas:

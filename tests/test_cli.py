@@ -10,7 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairfeas
@@ -281,10 +281,14 @@ def test_analyze_rejects_unusable_values(flags, tmp_path, capsys):
         ({"label": "outcome", "positive": 1.0, "sensitive": ["sex"]}, "'positive'"),
         ({"label": "outcome", "positive": None, "sensitive": ["sex"]}, "'positive'"),
         ({"label": "outcome", "positive": ["pos"], "sensitive": ["sex"]}, "'positive'"),
+        ({"label": "outcome", "positive": "pos", "sensitive": ["sex"], "id": ["id"]}, "'id'"),
+        ({"label": "outcome", "positive": "pos", "sensitive": ["sex"], "id": {"a": 1}}, "'id'"),
+        ({"label": "outcome", "positive": "pos", "sensitive": ["sex"], "id": 5}, "'id'"),
     ],
     ids=[
         "missing label", "top-level array", "sensitive not a list",
         "positive bool", "positive float", "positive null", "positive list",
+        "id list", "id object", "id int",
     ],
 )
 def test_analyze_malformed_schema_usage_error(cfg, named, tmp_path, capsys):
@@ -296,6 +300,26 @@ def test_analyze_malformed_schema_usage_error(cfg, named, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ValueError: ") and named in err
+
+
+def test_analyze_default_k_grid_report(tmp_path, capsys):
+    rows = [["pos", "F", "u"]] * 6 + [["neg", "F", "u"]] * 14
+    rows += [["pos", "M", "u"]] * 9 + [["neg", "M", "u"]] * 11
+    src, schema = write_fixture(tmp_path, rows)
+    code, out, _ = run(
+        capsys, "analyze", "--csv", str(src), "--schema", str(schema), "--grouping", "sex"
+    )
+    assert code == 0
+    report = json.loads(out)
+    supplies = [
+        selection.GroupSupply(g["key"], g["positives"], g["n"] - g["positives"])
+        for g in report["groups"]
+    ]
+    expected = json.loads(selection.report_to_json(selection.k_scan(supplies)))
+    assert report["k_scan"] == expected
+    rows = report["k_scan"]["rows"]
+    assert len(rows) == 20
+    assert [r["k_pct"] for r in rows] == list(selection.DEFAULT_K_GRID)
 
 
 def test_analyze_single_k_infeasible_exit_code(tmp_path, capsys):
@@ -487,8 +511,10 @@ AREA_NUMBER = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(gamma=AREA_NUMBER, eps_p=AREA_NUMBER, p=st.one_of(st.none(), AREA_NUMBER))
+@example(gamma="0.05", eps_p="-0.1", p="0.05")
 def test_area_fuzz_exits_cleanly(gamma, eps_p, p):
     code, out, err = run_argv(["area", f"--gamma={gamma}", f"--eps-p={eps_p}"] + flag_args(p=p))
     assert_clean_exit(code, out, err, parse=float)
     if code == 0:
         assert 0.0 <= float(out) <= 1.0
+        assert 0.0 < float(p or 0.5) + float(eps_p) < 1.0

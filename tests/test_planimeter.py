@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fairfeas.errors import BadSampleStep, DomainError
+from fairfeas.errors import DomainError
 from fairfeas.planimeter import (
     MAX_G,
     CurveFamily,
@@ -22,9 +22,6 @@ def test_grid_geometry():
     grid = DetectorGrid(g=11)
     assert grid.spacing == pytest.approx(0.1)
     assert grid.radius == pytest.approx(0.05)
-    coords = grid.coordinates()
-    assert coords.shape == (121, 2)
-    assert coords.min() == 0.0 and coords.max() == 1.0
 
 
 def test_grid_minimum_size():
@@ -83,12 +80,6 @@ def test_fill_dominates_when_curve_above_square():
     assert est.fraction == 1.0
 
 
-def test_sample_step_validation():
-    grid = DetectorGrid(g=10)
-    with pytest.raises(BadSampleStep):
-        estimate_area(grid, line_family(1.0, [0.0]), sample_step=grid.radius * 2)
-
-
 def test_mask_shape_and_orientation():
     grid = DetectorGrid(g=9)
     est, mask = estimate_area(grid, line_family(0.0, [0.0]), fill="below")
@@ -112,28 +103,23 @@ SINES = CurveFamily(
     thetas=[(0.1, 0.0), (0.3, 1.3), (0.45, 2.0)],
 )
 MASK_CASES = {
-    # name: grid -> (family, fill, further estimate_area options)
-    "line:y=x": lambda grid: (line_family(1.0, [0.0]), "curve-only", {}),
-    "y=0 fill below": lambda grid: (line_family(0.0, [0.0]), "below", {}),
-    "y=x fill above": lambda grid: (line_family(1.0, [0.0]), "above", {}),
-    "acc-band 0.05": lambda grid: (acc_band_family(0.05, grid.radius), "curve-only", {}),
-    "acc-band 0.25": lambda grid: (acc_band_family(0.25, grid.radius), "curve-only", {}),
-    "acc-band 0.5": lambda grid: (acc_band_family(0.5, grid.radius), "curve-only", {}),
-    "acc-band 1.0": lambda grid: (acc_band_family(1.0, grid.radius), "curve-only", {}),
-    "sines fill below": lambda grid: (SINES, "below", {}),
-    "sines fill above": lambda grid: (SINES, "above", {}),
-    "clipped lines": lambda grid: (line_family(2.0, [-0.5, 0.3]), "below", {}),
+    # name: grid -> (family, fill)
+    "line:y=x": lambda grid: (line_family(1.0, [0.0]), "curve-only"),
+    "y=0 fill below": lambda grid: (line_family(0.0, [0.0]), "below"),
+    "y=x fill above": lambda grid: (line_family(1.0, [0.0]), "above"),
+    "acc-band 0.05": lambda grid: (acc_band_family(0.05, grid.radius), "curve-only"),
+    "acc-band 0.25": lambda grid: (acc_band_family(0.25, grid.radius), "curve-only"),
+    "acc-band 0.5": lambda grid: (acc_band_family(0.5, grid.radius), "curve-only"),
+    "acc-band 1.0": lambda grid: (acc_band_family(1.0, grid.radius), "curve-only"),
+    "sines fill below": lambda grid: (SINES, "below"),
+    "sines fill above": lambda grid: (SINES, "above"),
+    "clipped lines": lambda grid: (line_family(2.0, [-0.5, 0.3]), "below"),
+    "slope 0.5 lines": lambda grid: (line_family(0.5, [0.1, 0.37]), "curve-only"),
     "outside the square": lambda grid: (
-        CurveFamily(evaluator=lambda x, theta: x + 5.0, thetas=[()]), "curve-only", {}
+        CurveFamily(evaluator=lambda x, theta: x + 5.0, thetas=[()]), "curve-only"
     ),
     "above the square, fill below": lambda grid: (
-        CurveFamily(evaluator=lambda x, theta: np.full_like(x, 5.0), thetas=[()]), "below", {}
-    ),
-    "radius 2.3 x default": lambda grid: (
-        line_family(1.0, [0.0, 0.3]), "curve-only", {"radius": 2.3 * grid.radius}
-    ),
-    "sample step r/3": lambda grid: (
-        line_family(0.5, [0.1, 0.37]), "curve-only", {"sample_step": grid.radius / 3.0}
+        CurveFamily(evaluator=lambda x, theta: np.full_like(x, 5.0), thetas=[()]), "below"
     ),
 }
 # the brute-force oracle costs g^2 x points per curve: wide bands only below g=120
@@ -151,9 +137,9 @@ WIDE_BANDS = {"acc-band 0.25", "acc-band 0.5", "acc-band 1.0"}
 )
 def test_mask_matches_brute_force(case, g):
     grid = DetectorGrid(g=g)
-    fam, fill, options = MASK_CASES[case](grid)
-    est, mask = estimate_area(grid, fam, fill=fill, **options)
-    expected = brute_force_mask(grid, fam, fill=fill, **options)
+    fam, fill = MASK_CASES[case](grid)
+    est, mask = estimate_area(grid, fam, fill=fill)
+    expected = brute_force_mask(grid, fam, fill=fill)
     assert mask.shape == expected.shape == (g, g)
     assert np.array_equal(mask, expected)
     assert est.satisfied == int(expected.sum())

@@ -144,6 +144,8 @@ def test_region_spec_domain_checks():
         RegionSpec(gamma=0.0, eps_p=0.1, p=0.5)
     with pytest.raises(DomainError):
         RegionSpec(gamma=0.1, eps_p=0.6, p=0.5)
+    with pytest.raises(DomainError):
+        RegionSpec(gamma=0.05, eps_p=-0.6, p=0.5)  # p2 = -0.1
 
 
 def test_relaxed_fnr_ppv_degenerate_tolerances():

@@ -282,6 +282,10 @@ def test_k_scan_json_round_trip():
     groups = (GroupSupply("a", 10, 10), GroupSupply("b", 10, 10))
     report = k_scan(groups, cap=0.7, k_grid=(50, 100))
     payload = json.loads(report_to_json(report))
+    assert list(payload) == ["rows", "summary"]
+    assert list(payload["rows"][0]) == [
+        "k_pct", "k_abs", "unconstrained_tp", "constrained_tp", "optimal"
+    ]
     assert payload["summary"] == report.summary
     assert len(payload["rows"]) == 2
     assert payload["rows"][0]["k_pct"] == 50
