@@ -94,14 +94,21 @@ def cmd_region(args) -> int:
     return 0
 
 
-def _grouping_from_arg(text: str) -> data.GroupingSpec:
-    return data.GroupingSpec(columns=tuple(text.split(",")))
+def _grouping_from_arg(text: str, schema, coarser=None) -> data.GroupingSpec:
+    grouping = data.GroupingSpec(columns=tuple(text.split(",")))
+    grouping.check(schema, coarser)
+    return grouping
 
 
 def cmd_analyze(args) -> int:
     schema = data.TableSchema.from_json(args.schema)
+    # every check that needs no rows runs before the file is read
+    grouping = _grouping_from_arg(args.grouping, schema)
+    fine = _grouping_from_arg(args.intersect, schema, grouping) if args.intersect else None
+    if args.sample_n is not None:
+        data.check_sample_size(args.sample_n)
+    k_grid = _parse_k_grid(args.k_grid)
     cohort = data.load_csv(args.csv, schema)
-    grouping = _grouping_from_arg(args.grouping)
     if args.sample_n is not None:
         cohort = data.stratified_sample(cohort, grouping, args.sample_n, args.seed)
     stats = data.group_stats(cohort, grouping)
@@ -109,7 +116,6 @@ def cmd_analyze(args) -> int:
         selection.GroupSupply(g.group_key, g.p_count, g.n - g.p_count)
         for g in stats.groups
     )
-    k_grid = _parse_k_grid(args.k_grid)
     scan = selection.k_scan(
         supplies,
         cap=args.cap,
@@ -133,8 +139,7 @@ def cmd_analyze(args) -> int:
         "max_prevalence_diff": stats.max_prevalence_diff,
         "k_scan": dataclasses.asdict(scan),
     }
-    if args.intersect:
-        fine = _grouping_from_arg(args.intersect)
+    if fine is not None:
         bracket = data.intersection_bracketing_check(cohort, grouping, fine)
         report["intersection"] = {
             "columns": list(fine.columns),

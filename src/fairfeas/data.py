@@ -8,7 +8,9 @@ values containing "|" are rejected at load to keep keys collision-free.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import json
 import operator
 import random
@@ -98,14 +100,21 @@ class GroupingSpec:
         if not self.columns:
             raise ValueError("grouping needs at least one column")
 
-    def keys(self, cohort: Cohort) -> dict[tuple[str, ...], str]:
-        """Group key of each distinct value tuple, columns in schema order."""
-        sensitive = cohort.schema.sensitive_columns
+    def check(self, schema: TableSchema, coarser: Optional["GroupingSpec"] = None) -> None:
+        """ValueError unless all columns are sensitive and strictly refine coarser."""
+        sensitive = schema.sensitive_columns
         unknown = [col for col in self.columns if col not in sensitive]
         if unknown:
             raise ValueError(
                 f"grouping columns {unknown} are not sensitive columns {list(sensitive)}"
             )
+        if coarser is not None and not set(coarser.columns) < set(self.columns):
+            raise ValueError("single grouping must be a strict subset of intersected")
+
+    def keys(self, cohort: Cohort) -> dict[tuple[str, ...], str]:
+        """Group key of each distinct value tuple, columns in schema order."""
+        sensitive = cohort.schema.sensitive_columns
+        self.check(cohort.schema)
         picks = [i for i, col in enumerate(sensitive) if col in self.columns]
         return {
             values: KEY_SEPARATOR.join(values[i] for i in picks)
@@ -223,8 +232,7 @@ def intersection_bracketing_check(
     prevalences of the intersectional groups refining it, and the max
     pairwise prevalence difference must not decrease under refinement.
     """
-    if not set(single.columns) < set(intersected.columns):
-        raise ValueError("single grouping must be a strict subset of intersected")
+    intersected.check(cohort.schema, coarser=single)
     coarse = group_stats(cohort, single)
     fine = group_stats(cohort, intersected)
 
@@ -248,6 +256,16 @@ def intersection_bracketing_check(
     )
 
 
+def check_sample_size(target_n: int) -> None:
+    if target_n < 1:
+        raise ValueError(f"target_n={target_n} must be at least 1")
+
+
+def _cell_counts(ends: list[int], positions) -> Counter:
+    """How many positions fall in each cell; cell j holds ends[j-1] .. ends[j]-1."""
+    return Counter(bisect.bisect_right(ends, pos) for pos in positions)
+
+
 def stratified_sample(
     cohort: Cohort, grouping: GroupingSpec, target_n: int, seed: int
 ) -> Cohort:
@@ -255,38 +273,42 @@ def stratified_sample(
 
     Stratum quotas use largest-remainder apportionment in integers, so
     each stratum lands within one row of its exact proportional share and
-    equal remainders go to the strata first in (group key, label) order;
-    rows within a stratum are chosen by a seeded shuffle.
+    equal remainders go to the strata first in (group key, label) order.
+    A stratum's cells, one per values tuple in sorted order, lie end to
+    end; a seeded uniform subset of quota positions is drawn and each
+    position counts for its cell. That is the multivariate hypergeometric
+    law of shuffle-then-take, in O(quota) draws instead of one per row.
+    Rows come ordered by stratum, then by values, not in file order.
     """
-    if target_n < 1:
-        raise ValueError(f"target_n={target_n} must be at least 1")
+    check_sample_size(target_n)
     total = len(cohort)
     if target_n > total:
         raise TargetTooLarge(f"target_n={target_n} exceeds cohort size {total}")
     key_of = grouping.keys(cohort)
-    # ordinals in row order: a shuffle's draws depend only on list length
-    strata: dict[tuple[str, int], list[int]] = {}
-    for i, (values, label) in enumerate(zip(cohort.group_values, cohort.labels)):
-        strata.setdefault((key_of[values], label), []).append(i)
+    counts = Counter(zip(cohort.group_values, cohort.labels))
+    strata: dict[tuple[str, int], list[tuple[tuple[str, ...], int]]] = {}
+    for cell in counts:
+        strata.setdefault((key_of[cell[0]], cell[1]), []).append(cell)
+    ends = {}
+    for k, cells in strata.items():
+        cells.sort()
+        ends[k] = list(itertools.accumulate(map(counts.__getitem__, cells)))
 
     keys = sorted(strata.keys())
     # integer quotas: every remainder is a count of 1/total, so ties are exact
     base, remainder = {}, {}
     for k in keys:
-        base[k], remainder[k] = divmod(target_n * len(strata[k]), total)
+        base[k], remainder[k] = divmod(target_n * ends[k][-1], total)
     leftover = target_n - sum(base.values())
     for k in sorted(keys, key=lambda k: (-remainder[k], k))[:leftover]:
         base[k] += 1
 
     rng = random.Random(seed)
-    chosen: list[int] = []
+    labels = bytearray()
+    group_values: list[tuple[str, ...]] = []
     for k in keys:
-        ordinals = strata[k]
-        rng.shuffle(ordinals)
-        chosen.extend(ordinals[: base[k]])
-    chosen.sort()
-    return Cohort(
-        labels=bytes(cohort.labels[i] for i in chosen),
-        group_values=tuple(cohort.group_values[i] for i in chosen),
-        schema=cohort.schema,
-    )
+        drawn = _cell_counts(ends[k], rng.sample(range(ends[k][-1]), base[k]))
+        for j in sorted(drawn):
+            group_values += [strata[k][j][0]] * drawn[j]
+        labels += bytes([k[1]]) * base[k]
+    return Cohort(labels=bytes(labels), group_values=tuple(group_values), schema=cohort.schema)

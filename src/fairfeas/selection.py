@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import bisect
 import csv
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -498,10 +497,6 @@ def _summarize(rows: Sequence[KScanRow]) -> str:
         else:
             i += 1
     return f"[{rows[best_start].k_pct},{rows[best_end].k_pct}]"
-
-
-def report_to_json(report: KScanReport) -> str:
-    return json.dumps(asdict(report), indent=2)
 
 
 def report_to_csv(

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairfeas
-from fairfeas import selection
+from fairfeas import data, selection
 from fairfeas.cli import build_parser, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -249,14 +250,22 @@ def test_analyze_missing_column_usage_error(tmp_path, capsys):
     assert "MissingColumn" in err
 
 
-# grouping columns must be sensitive columns and a sample must hold a
-# row; each case is a usage error raised before the report is printed
+# grouping columns must be sensitive columns, an intersection must strictly
+# refine the grouping and a sample must hold a row; each case is a usage
+# error raised before the file is read
 ANALYZE_USAGE_ERRORS = [
     ("--grouping", "nope"),
     ("--grouping", "sex", "--intersect", "sex,nope"),
+    ("--grouping", "sex", "--intersect", "region"),
     ("--grouping", "sex", "--sample-n", "0"),
     ("--grouping", "sex", "--sample-n", "-1"),
 ]
+
+
+def named_in_error(flags):
+    if "nope" in " ".join(flags):
+        return "nope"
+    return "strict subset" if "--intersect" in flags else "at least 1"
 
 
 @pytest.mark.parametrize("flags", ANALYZE_USAGE_ERRORS, ids=" ".join)
@@ -268,7 +277,22 @@ def test_analyze_rejects_unusable_values(flags, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "internal" not in err
-    assert "nope" in err or "--sample-n" in flags
+    assert named_in_error(flags) in err
+
+
+@pytest.mark.parametrize("flags", ANALYZE_USAGE_ERRORS, ids=" ".join)
+def test_analyze_rejects_unusable_values_before_loading(flags, tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("load_csv reached")
+
+    monkeypatch.setattr(data, "load_csv", unreachable)
+    _, schema = write_fixture(tmp_path, [["pos", "F", "u"]])
+    code, out, err = run(
+        capsys, "analyze", "--csv", "unread.csv", "--schema", str(schema), *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert "internal" not in err and named_in_error(flags) in err
 
 
 @pytest.mark.parametrize(
@@ -315,7 +339,7 @@ def test_analyze_default_k_grid_report(tmp_path, capsys):
         selection.GroupSupply(g["key"], g["positives"], g["n"] - g["positives"])
         for g in report["groups"]
     ]
-    expected = json.loads(selection.report_to_json(selection.k_scan(supplies)))
+    expected = json.loads(json.dumps(dataclasses.asdict(selection.k_scan(supplies))))
     assert report["k_scan"] == expected
     rows = report["k_scan"]["rows"]
     assert len(rows) == 20

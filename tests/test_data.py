@@ -1,6 +1,10 @@
+import itertools
 import json
+import math
 import random
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from fairfeas.data import (
     Cohort,
     GroupingSpec,
     TableSchema,
+    _cell_counts,
     group_stats,
     intersection_bracketing_check,
     load_csv,
@@ -253,6 +258,32 @@ def outcome(fn, *args):
         return type(exc), str(exc), getattr(exc, "row", None)
 
 
+def stratum_counts(cohort, columns):
+    """Rows per (group key, label) stratum."""
+    key_of = GroupingSpec(columns).keys(cohort)
+    return Counter((key_of[v], lab) for v, lab in zip(cohort.group_values, cohort.labels))
+
+
+def assert_sample_matches_quota_oracle(cohort, rows, columns, target_n, seed):
+    """Same quotas and group_stats as the row oracle; a sub-multiset of the cohort."""
+    expected = reference_stratified_sample(rows, cohort.schema, columns, target_n, seed)
+    expected = Cohort(
+        labels=bytes(r.label for r in expected),
+        group_values=tuple(r.group_values for r in expected),
+        schema=cohort.schema,
+    )
+    got = stratified_sample(cohort, GroupingSpec(columns), target_n, seed)
+    assert stratum_counts(got, columns) == stratum_counts(expected, columns)
+    assert group_stats(got, GroupingSpec(columns)) == group_stats(expected, GroupingSpec(columns))
+    cells = Counter(zip(cohort.group_values, cohort.labels))
+    assert not Counter(zip(got.group_values, got.labels)) - cells
+    # one shared tuple per distinct combination, the cohort's own
+    assert len({id(v) for v in got.group_values}) == len(set(got.group_values))
+    interned = {id(v) for v in cohort.group_values}
+    assert all(id(v) in interned for v in got.group_values)
+    return got
+
+
 @pytest.mark.parametrize("crlf", [False, True])
 @pytest.mark.parametrize("file_seed", range(4))
 def test_columnar_loader_and_sampler_match_row_oracle(file_seed, crlf, tmp_path):
@@ -268,14 +299,12 @@ def test_columnar_loader_and_sampler_match_row_oracle(file_seed, crlf, tmp_path)
     for columns in [("a",), ("a", "b"), ("b",)]:
         for seed in range(8):
             target_n = random.Random(seed).randint(1, len(rows))
-            expected = reference_stratified_sample(rows, DIFF_SCHEMA, columns, target_n, seed)
-            got = stratified_sample(cohort, GroupingSpec(columns), target_n, seed)
-            assert got.labels == bytes(r.label for r in expected)
-            assert got.group_values == tuple(r.group_values for r in expected)
+            assert_sample_matches_quota_oracle(cohort, rows, columns, target_n, seed)
 
 
 def test_sampled_rows_match_row_oracle_by_ordinal():
-    """With the row ordinal as a sensitive value, each chosen row is named."""
+    """With the row ordinal as a sensitive value, each drawn row is named:
+    the sample holds distinct rows of the cohort in the oracle's quotas."""
     schema = TableSchema(
         label_column="outcome", positive_value="pos", sensitive_columns=("a", "b", "rid")
     )
@@ -294,9 +323,61 @@ def test_sampled_rows_match_row_oracle_by_ordinal():
     )
     for columns in [("a",), ("a", "b"), ("b",)]:
         for seed in range(8):
-            expected = reference_stratified_sample(rows, schema, columns, 60, seed)
-            got = stratified_sample(cohort, GroupingSpec(columns), 60, seed)
-            assert [v[2] for v in got.group_values] == [str(r.row_ordinal) for r in expected]
+            got = assert_sample_matches_quota_oracle(cohort, rows, columns, 60, seed)
+            ordinals = [int(v[2]) for v in got.group_values]
+            assert len(set(ordinals)) == 60
+            assert all(
+                cohort.group_values[i] is v and cohort.labels[i] == lab
+                for i, v, lab in zip(ordinals, got.group_values, got.labels)
+            )
+
+
+def test_stratified_sample_depends_on_rows_not_their_order():
+    rng = random.Random(4)
+    rows = [
+        (int(rng.random() < 0.4), rng.choice("FMX"), rng.choice(["u", "r", "s"]))
+        for _ in range(300)
+    ]
+    grouping = GroupingSpec(columns=("sex",))
+    for seed in range(4):
+        sample = stratified_sample(make_cohort(rows), grouping, 70, seed)
+        rng.shuffle(rows)
+        assert stratified_sample(make_cohort(rows), grouping, 70, seed) == sample
+        # ordered by stratum (group key, label), then by values
+        order = [(v[0], lab, v) for v, lab in zip(sample.group_values, sample.labels)]
+        assert order == sorted(order)
+
+
+def compositions(total):
+    """Every tuple of positive cell sizes summing to total."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first, *rest)
+
+
+def test_position_draw_has_the_hypergeometric_law():
+    """Each quota-subset of a stratum's positions, weighted equally, maps to
+    cell counts with exactly the multivariate hypergeometric pmf."""
+    checked = 0
+    for size in range(1, 8):
+        for cells in compositions(size):
+            ends = list(itertools.accumulate(cells))
+            for quota in range(min(4, size) + 1):
+                weight = Fraction(1, math.comb(size, quota))
+                law = Counter()
+                for subset in itertools.combinations(range(size), quota):
+                    drawn = _cell_counts(ends, subset)
+                    law[tuple(drawn[j] for j in range(len(cells)))] += weight
+                pmf = {
+                    x: weight * math.prod(math.comb(c, k) for c, k in zip(cells, x))
+                    for x in itertools.product(*(range(c + 1) for c in cells))
+                    if sum(x) == quota
+                }
+                assert law == pmf
+                checked += 1
+    assert checked == 624  # 2**(size-1) cell layouts per size, times the quotas
 
 
 BAD_EDGE_FILES = [

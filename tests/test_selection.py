@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -12,7 +13,6 @@ from fairfeas.selection import (
     check_allocation,
     k_scan,
     report_to_csv,
-    report_to_json,
     solve_exact,
     unconstrained_max_tp,
 )
@@ -281,7 +281,8 @@ def test_k_scan_rounds_exact_halves_up(pct, n, k):
 def test_k_scan_json_round_trip():
     groups = (GroupSupply("a", 10, 10), GroupSupply("b", 10, 10))
     report = k_scan(groups, cap=0.7, k_grid=(50, 100))
-    payload = json.loads(report_to_json(report))
+    # the k-scan block of the analyze report, as cmd_analyze writes it
+    payload = json.loads(json.dumps(asdict(report)))
     assert list(payload) == ["rows", "summary"]
     assert list(payload["rows"][0]) == [
         "k_pct", "k_abs", "unconstrained_tp", "constrained_tp", "optimal"
