@@ -107,6 +107,7 @@ def cmd_analyze(args) -> int:
     fine = _grouping_from_arg(args.intersect, schema, grouping) if args.intersect else None
     if args.sample_n is not None:
         data.check_sample_size(args.sample_n)
+    selection.check_constraints(args.cap, args.lb, args.ub)
     k_grid = _parse_k_grid(args.k_grid)
     cohort = data.load_csv(args.csv, schema)
     if args.sample_n is not None:

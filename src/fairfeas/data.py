@@ -8,9 +8,7 @@ values containing "|" are rejected at load to keep keys collision-free.
 
 from __future__ import annotations
 
-import bisect
 import csv
-import itertools
 import json
 import operator
 import random
@@ -75,19 +73,18 @@ class TableSchema:
 
 @dataclass(frozen=True)
 class Cohort:
-    """Rows stored as columns; the row ordinal is the index into both.
+    """Rows stored as counts per cell; the length is the row count.
 
-    ``labels[i]`` is 1 for a positive row and 0 otherwise;
-    ``group_values[i]`` holds row i's sensitive values in schema order.
-    Rows with the same values share one tuple object.
+    ``cells[(values, label)]`` is the number of rows whose sensitive
+    values, in schema order, are ``values`` and whose label is ``label``
+    (1 positive, 0 otherwise). Every stored count is at least 1.
     """
 
-    labels: bytes
-    group_values: tuple[tuple[str, ...], ...]
+    cells: dict[tuple[tuple[str, ...], int], int]
     schema: TableSchema
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return sum(self.cells.values())
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,7 @@ class GroupingSpec:
         self.check(cohort.schema)
         picks = [i for i, col in enumerate(sensitive) if col in self.columns]
         return {
-            values: KEY_SEPARATOR.join(values[i] for i in picks)
-            for values in set(cohort.group_values)
+            values: KEY_SEPARATOR.join(values[i] for i in picks) for values, _ in cohort.cells
         }
 
 
@@ -144,10 +140,7 @@ def load_csv(path, schema: TableSchema) -> Cohort:
     """
     columns = (schema.label_column, *schema.sensitive_columns)
     needed = (*columns, schema.id_column) if schema.id_column else columns
-    labels = bytearray()
-    group_values = []
-    seen: dict[tuple, tuple[int, tuple[str, ...]]] = {}
-    interned: dict[tuple, tuple[str, ...]] = {}
+    tallies: dict[tuple, list[int]] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -164,10 +157,10 @@ def load_csv(path, schema: TableSchema) -> Cohort:
                 key = fetch(row)
             except IndexError:
                 key = fetch(row + pad)
-            hit = seen.get(key)
-            if hit is None:
-                # a key that fails a check raises before it is cached,
-                # so the cache holds only keys whose checks passed
+            tally = tallies.get(key)
+            if tally is None:
+                # a key that fails a check raises before it is stored,
+                # so every stored key has passed its checks
                 cell, values = key[0], key[1:]
                 for col, v in zip(schema.sensitive_columns, values):
                     if not v:
@@ -179,30 +172,31 @@ def load_csv(path, schema: TableSchema) -> Cohort:
                         )
                 if not cell:
                     raise MissingValue(i, schema.label_column)
-                label = 1 if cell == schema.positive_value else 0
-                hit = seen[key] = (label, interned.setdefault(values, values))
-            labels.append(hit[0])
-            group_values.append(hit[1])
-    if not labels:
+                tally = tallies[key] = [0]
+            tally[0] += 1
+    if not tallies:
         raise EmptyFile(f"{path} has no data rows")
-    return Cohort(labels=bytes(labels), group_values=tuple(group_values), schema=schema)
+    cells: Counter = Counter()
+    for (cell, *values), (count,) in tallies.items():
+        cells[tuple(values), int(cell == schema.positive_value)] += count
+    return Cohort(cells=dict(cells), schema=schema)
 
 
 def group_stats(cohort: Cohort, grouping: GroupingSpec) -> CohortStats:
     """Per-group sizes, prevalences, distribution, and max pairwise diff."""
     key_of = grouping.keys(cohort)
     tallies: dict[str, list[int]] = {}
-    for (values, label), count in Counter(zip(cohort.group_values, cohort.labels)).items():
+    for (values, label), count in cohort.cells.items():
         n_pos = tallies.setdefault(key_of[values], [0, 0])
         n_pos[0] += count
         n_pos[1] += label * count
     groups = tuple(
         GroupCounts(group_key=k, n=v[0], p_count=v[1]) for k, v in sorted(tallies.items())
     )
-    total = len(cohort)
+    total = sum(g.n for g in groups)
     return CohortStats(
         groups=groups,
-        overall_prevalence=sum(cohort.labels) / total,
+        overall_prevalence=sum(g.p_count for g in groups) / total,
         distribution_pct={g.group_key: 100.0 * g.n / total for g in groups},
         max_prevalence_diff=(
             max_pairwise_prevalence_diff(groups) if len(groups) >= 2 else None
@@ -261,11 +255,6 @@ def check_sample_size(target_n: int) -> None:
         raise ValueError(f"target_n={target_n} must be at least 1")
 
 
-def _cell_counts(ends: list[int], positions) -> Counter:
-    """How many positions fall in each cell; cell j holds ends[j-1] .. ends[j]-1."""
-    return Counter(bisect.bisect_right(ends, pos) for pos in positions)
-
-
 def stratified_sample(
     cohort: Cohort, grouping: GroupingSpec, target_n: int, seed: int
 ) -> Cohort:
@@ -274,41 +263,32 @@ def stratified_sample(
     Stratum quotas use largest-remainder apportionment in integers, so
     each stratum lands within one row of its exact proportional share and
     equal remainders go to the strata first in (group key, label) order.
-    A stratum's cells, one per values tuple in sorted order, lie end to
-    end; a seeded uniform subset of quota positions is drawn and each
-    position counts for its cell. That is the multivariate hypergeometric
-    law of shuffle-then-take, in O(quota) draws instead of one per row.
-    Rows come ordered by stratum, then by values, not in file order.
+    Each stratum, in that order, then draws its quota from one shared
+    ``random.Random(seed)`` with ``sample(cells, quota, counts=...)``, its
+    cells in sorted order: the multivariate hypergeometric law of
+    shuffle-then-take, in O(quota) draws instead of one per row.
     """
     check_sample_size(target_n)
     total = len(cohort)
     if target_n > total:
         raise TargetTooLarge(f"target_n={target_n} exceeds cohort size {total}")
     key_of = grouping.keys(cohort)
-    counts = Counter(zip(cohort.group_values, cohort.labels))
     strata: dict[tuple[str, int], list[tuple[tuple[str, ...], int]]] = {}
-    for cell in counts:
+    for cell in sorted(cohort.cells):
         strata.setdefault((key_of[cell[0]], cell[1]), []).append(cell)
-    ends = {}
-    for k, cells in strata.items():
-        cells.sort()
-        ends[k] = list(itertools.accumulate(map(counts.__getitem__, cells)))
+    counts = {k: [cohort.cells[cell] for cell in cells] for k, cells in strata.items()}
 
     keys = sorted(strata.keys())
     # integer quotas: every remainder is a count of 1/total, so ties are exact
     base, remainder = {}, {}
     for k in keys:
-        base[k], remainder[k] = divmod(target_n * ends[k][-1], total)
+        base[k], remainder[k] = divmod(target_n * sum(counts[k]), total)
     leftover = target_n - sum(base.values())
     for k in sorted(keys, key=lambda k: (-remainder[k], k))[:leftover]:
         base[k] += 1
 
     rng = random.Random(seed)
-    labels = bytearray()
-    group_values: list[tuple[str, ...]] = []
+    drawn: Counter = Counter()
     for k in keys:
-        drawn = _cell_counts(ends[k], rng.sample(range(ends[k][-1]), base[k]))
-        for j in sorted(drawn):
-            group_values += [strata[k][j][0]] * drawn[j]
-        labels += bytes([k[1]]) * base[k]
-    return Cohort(labels=bytes(labels), group_values=tuple(group_values), schema=cohort.schema)
+        drawn.update(rng.sample(strata[k], base[k], counts=counts[k]))
+    return Cohort(cells=dict(drawn), schema=cohort.schema)

@@ -44,6 +44,14 @@ def _to_fraction(x) -> Optional[Fraction]:
     return Fraction(str(x))
 
 
+def check_constraints(ppv_cap: float, lb: float, ub: float) -> None:
+    """ValueError unless 0 < ppv_cap <= 1 and lb <= 1 <= ub."""
+    if not 0.0 < ppv_cap <= 1.0:
+        raise ValueError("ppv_cap must lie in (0, 1]")
+    if not lb <= 1.0 <= ub:
+        raise ValueError("bounds must satisfy lb <= 1 <= ub")
+
+
 @dataclass(frozen=True)
 class GroupSupply:
     """Available positives and negatives for one group."""
@@ -79,10 +87,7 @@ class SelectionInstance:
             raise TooManyGroups(f"{len(self.groups)} groups exceeds {MAX_GROUPS}")
         if self.k < 1 or self.k > sum(g.n for g in self.groups):
             raise ValueError(f"k={self.k} outside [1, total items]")
-        if not 0.0 < self.ppv_cap <= 1.0:
-            raise ValueError("ppv_cap must lie in (0, 1]")
-        if not self.lb <= 1.0 <= self.ub:
-            raise ValueError("bounds must satisfy lb <= 1 <= ub")
+        check_constraints(self.ppv_cap, self.lb, self.ub)
         keys = [g.group_key for g in self.groups]
         if len(set(keys)) != len(keys):
             raise ValueError("group keys must be unique")

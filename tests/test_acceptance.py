@@ -7,6 +7,7 @@ lines alongside the pytest output.
 import math
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -264,12 +265,12 @@ def test_criterion_7_intersectionality_property():
     ok = True
     for _ in range(1000):
         size = rng.randint(4, 60)
-        labels, group_values = bytearray(), []
+        cells = Counter()
         for _ in range(size):
             # draw order per row: label, then the two values
-            labels.append(rng.randint(0, 1))
-            group_values.append((rng.choice("xyz"), rng.choice("uv")))
-        cohort = Cohort(labels=bytes(labels), group_values=tuple(group_values), schema=SCHEMA)
+            label = rng.randint(0, 1)
+            cells[(rng.choice("xyz"), rng.choice("uv")), label] += 1
+        cohort = Cohort(cells=cells, schema=SCHEMA)
         report = intersection_bracketing_check(
             cohort, GroupingSpec(columns=("a",)), GroupingSpec(columns=("a", "b"))
         )

@@ -259,12 +259,19 @@ ANALYZE_USAGE_ERRORS = [
     ("--grouping", "sex", "--intersect", "region"),
     ("--grouping", "sex", "--sample-n", "0"),
     ("--grouping", "sex", "--sample-n", "-1"),
+    ("--grouping", "sex", "--cap", "0"),
+    ("--grouping", "sex", "--lb", "2"),
+    ("--grouping", "sex", "--ub", "0.5"),
 ]
 
 
 def named_in_error(flags):
     if "nope" in " ".join(flags):
         return "nope"
+    if "--cap" in flags:
+        return "ppv_cap must lie in (0, 1]"
+    if "--lb" in flags or "--ub" in flags:
+        return "lb <= 1 <= ub"
     return "strict subset" if "--intersect" in flags else "at least 1"
 
 

@@ -1,10 +1,7 @@
-import itertools
 import json
-import math
 import random
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +11,6 @@ from fairfeas.data import (
     Cohort,
     GroupingSpec,
     TableSchema,
-    _cell_counts,
     group_stats,
     intersection_bracketing_check,
     load_csv,
@@ -40,28 +36,33 @@ def write_csv(path, rows, header="outcome,sex,region"):
 
 def make_cohort(rows):
     """rows: list of (label, sex, region)."""
-    return Cohort(
-        labels=bytes(lab for lab, _, _ in rows),
-        group_values=tuple((sex, region) for _, sex, region in rows),
-        schema=SCHEMA,
-    )
+    return Cohort(cells=Counter(((sex, region), lab) for lab, sex, region in rows), schema=SCHEMA)
+
+
+def oracle_cells(rows):
+    """The row oracle's rows counted per (values, label) cell."""
+    return Counter((r.group_values, r.label) for r in rows)
 
 
 def test_load_and_round_trip(tmp_path):
     src = tmp_path / "in.csv"
-    write_csv(src, ["pos,F,urban", "neg,M,rural", "pos,M,urban", "neg,F,urban"])
+    write_csv(src, ["pos,F,urban", "neg,M,rural", "pos,M,urban", "neg,F,urban", "pos,F,urban"])
     cohort = load_csv(src, SCHEMA)
-    assert len(cohort) == 4
-    assert cohort.labels == bytes([1, 0, 1, 0])
-    assert cohort.group_values == (("F", "urban"), ("M", "rural"), ("M", "urban"), ("F", "urban"))
-    assert cohort.group_values[0] is cohort.group_values[3]  # one tuple per combination
+    assert len(cohort) == 5
+    assert cohort.cells == {
+        (("F", "urban"), 1): 2,
+        (("M", "rural"), 0): 1,
+        (("M", "urban"), 1): 1,
+        (("F", "urban"), 0): 1,
+    }
 
     out = tmp_path / "out.csv"
     write_csv(
         out,
         [
             ",".join(["pos" if lab else "neg", *values])
-            for lab, values in zip(cohort.labels, cohort.group_values)
+            for (values, lab), count in cohort.cells.items()
+            for _ in range(count)
         ],
     )
     assert load_csv(out, SCHEMA) == cohort
@@ -261,26 +262,21 @@ def outcome(fn, *args):
 def stratum_counts(cohort, columns):
     """Rows per (group key, label) stratum."""
     key_of = GroupingSpec(columns).keys(cohort)
-    return Counter((key_of[v], lab) for v, lab in zip(cohort.group_values, cohort.labels))
+    strata = Counter()
+    for (values, lab), count in cohort.cells.items():
+        strata[key_of[values], lab] += count
+    return strata
 
 
 def assert_sample_matches_quota_oracle(cohort, rows, columns, target_n, seed):
     """Same quotas and group_stats as the row oracle; a sub-multiset of the cohort."""
     expected = reference_stratified_sample(rows, cohort.schema, columns, target_n, seed)
-    expected = Cohort(
-        labels=bytes(r.label for r in expected),
-        group_values=tuple(r.group_values for r in expected),
-        schema=cohort.schema,
-    )
+    expected = Cohort(cells=oracle_cells(expected), schema=cohort.schema)
     got = stratified_sample(cohort, GroupingSpec(columns), target_n, seed)
     assert stratum_counts(got, columns) == stratum_counts(expected, columns)
     assert group_stats(got, GroupingSpec(columns)) == group_stats(expected, GroupingSpec(columns))
-    cells = Counter(zip(cohort.group_values, cohort.labels))
-    assert not Counter(zip(got.group_values, got.labels)) - cells
-    # one shared tuple per distinct combination, the cohort's own
-    assert len({id(v) for v in got.group_values}) == len(set(got.group_values))
-    interned = {id(v) for v in cohort.group_values}
-    assert all(id(v) in interned for v in got.group_values)
+    assert min(got.cells.values()) >= 1
+    assert not Counter(got.cells) - Counter(cohort.cells)
     return got
 
 
@@ -291,10 +287,7 @@ def test_columnar_loader_and_sampler_match_row_oracle(file_seed, crlf, tmp_path)
     edge_case_csv(src, file_seed, crlf)
     rows = reference_load_csv(src, DIFF_SCHEMA)
     cohort = load_csv(src, DIFF_SCHEMA)
-    assert cohort.labels == bytes(r.label for r in rows)
-    assert cohort.group_values == tuple(r.group_values for r in rows)
-    # one shared tuple per distinct combination
-    assert len({id(v) for v in cohort.group_values}) == len(set(cohort.group_values))
+    assert oracle_cells(rows) == cohort.cells
 
     for columns in [("a",), ("a", "b"), ("b",)]:
         for seed in range(8):
@@ -312,24 +305,17 @@ def test_sampled_rows_match_row_oracle_by_ordinal():
     records = [
         (rng.random() < 0.3, rng.choice("xyz"), rng.choice("uv")) for _ in range(400)
     ]
-    cohort = Cohort(
-        labels=bytes(lab for lab, _, _ in records),
-        group_values=tuple((a, b, str(i)) for i, (_, a, b) in enumerate(records)),
-        schema=schema,
-    )
     rows = tuple(
-        Row(label=lab, group_values=values, row_ordinal=i)
-        for i, (lab, values) in enumerate(zip(cohort.labels, cohort.group_values))
+        Row(label=int(lab), group_values=(a, b, str(i)), row_ordinal=i)
+        for i, (lab, a, b) in enumerate(records)
     )
+    cohort = Cohort(cells=oracle_cells(rows), schema=schema)
     for columns in [("a",), ("a", "b"), ("b",)]:
         for seed in range(8):
             got = assert_sample_matches_quota_oracle(cohort, rows, columns, 60, seed)
-            ordinals = [int(v[2]) for v in got.group_values]
-            assert len(set(ordinals)) == 60
-            assert all(
-                cohort.group_values[i] is v and cohort.labels[i] == lab
-                for i, v, lab in zip(ordinals, got.group_values, got.labels)
-            )
+            # each cell is one named row, drawn at most once
+            assert len(got.cells) == 60 and set(got.cells.values()) == {1}
+            assert all(rows[int(values[2])].label == lab for values, lab in got.cells)
 
 
 def test_stratified_sample_depends_on_rows_not_their_order():
@@ -343,9 +329,6 @@ def test_stratified_sample_depends_on_rows_not_their_order():
         sample = stratified_sample(make_cohort(rows), grouping, 70, seed)
         rng.shuffle(rows)
         assert stratified_sample(make_cohort(rows), grouping, 70, seed) == sample
-        # ordered by stratum (group key, label), then by values
-        order = [(v[0], lab, v) for v, lab in zip(sample.group_values, sample.labels)]
-        assert order == sorted(order)
 
 
 def compositions(total):
@@ -357,27 +340,56 @@ def compositions(total):
             yield (first, *rest)
 
 
-def test_position_draw_has_the_hypergeometric_law():
-    """Each quota-subset of a stratum's positions, weighted equally, maps to
-    cell counts with exactly the multivariate hypergeometric pmf."""
+def test_sample_draws_like_random_sample_of_expanded_rows():
+    """Per stratum in key order, the drawn cells are the counts of one
+    shared Random(seed).sample over the stratum's rows, listed cell by
+    cell in sorted order: the uniform subset law of shuffle-then-take."""
+    grouping = GroupingSpec(columns=("sex",))
     checked = 0
     for size in range(1, 8):
-        for cells in compositions(size):
-            ends = list(itertools.accumulate(cells))
-            for quota in range(min(4, size) + 1):
-                weight = Fraction(1, math.comb(size, quota))
-                law = Counter()
-                for subset in itertools.combinations(range(size), quota):
-                    drawn = _cell_counts(ends, subset)
-                    law[tuple(drawn[j] for j in range(len(cells)))] += weight
-                pmf = {
-                    x: weight * math.prod(math.comb(c, k) for c, k in zip(cells, x))
-                    for x in itertools.product(*(range(c + 1) for c in cells))
-                    if sum(x) == quota
-                }
-                assert law == pmf
-                checked += 1
-    assert checked == 624  # 2**(size-1) cell layouts per size, times the quotas
+        for layout in compositions(size):
+            # two strata, (F, 0) then (F, 1), each with this cell layout
+            cells = {
+                (("F", f"v{j}"), lab): count
+                for j, count in enumerate(layout)
+                for lab in (0, 1)
+            }
+            cohort = Cohort(cells=cells, schema=SCHEMA)
+            for quota in range(1, min(4, size) + 1):
+                for seed in range(3):
+                    rng = random.Random(seed)
+                    expected = Counter()
+                    for lab in (0, 1):
+                        rows = [c for c in sorted(cells) if c[1] == lab for _ in range(cells[c])]
+                        expected.update(rng.sample(rows, quota))
+                    got = stratified_sample(cohort, grouping, 2 * quota, seed)
+                    assert got.cells == expected
+                    checked += 1
+    assert checked == 3 * 497  # 2**(size-1) layouts per size, times quotas 1..min(4, size)
+
+
+# per seed, the drawn count of each cell of the cohort below in sorted
+# order, as the bisected position draw gave them; any change to the draw
+# fails here
+PINNED_SAMPLE_COUNTS = {
+    0: (3, 3, 8, 4, 3, 3, 2, 3, 7, 2, 6, 4, 4, 3, 2, 3, 6, 4),
+    1: (4, 3, 5, 6, 5, 1, 4, 1, 5, 3, 6, 5, 5, 1, 2, 4, 5, 5),
+    2: (6, 2, 1, 4, 7, 4, 5, 2, 8, 5, 2, 2, 3, 0, 3, 3, 6, 7),
+    3: (5, 1, 4, 3, 5, 6, 5, 1, 3, 4, 7, 4, 7, 1, 2, 3, 3, 6),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_SAMPLE_COUNTS))
+def test_stratified_sample_draw_is_pinned(seed):
+    rng = random.Random(4)
+    rows = [
+        (int(rng.random() < 0.4), rng.choice("FMX"), rng.choice(["u", "r", "s"]))
+        for _ in range(300)
+    ]
+    cohort = make_cohort(rows)
+    sample = stratified_sample(cohort, GroupingSpec(columns=("sex",)), 70, seed)
+    assert len(cohort.cells) == 18
+    assert tuple(sample.cells.get(c, 0) for c in sorted(cohort.cells)) == PINNED_SAMPLE_COUNTS[seed]
 
 
 BAD_EDGE_FILES = [
@@ -418,12 +430,11 @@ def test_loader_shares_values_across_label_cells(tmp_path):
     lines = [f"{cell},x,y" for cell in cells * 3] + ["pos,x,z", "neg,x,z"]
     src = tmp_path / "labels.csv"
     src.write_text("\n".join(["outcome,a,b", *lines]) + "\n")
-    rows = reference_load_csv(src, DIFF_SCHEMA)
     cohort = load_csv(src, DIFF_SCHEMA)
-    assert cohort.labels == bytes(r.label for r in rows)
-    assert cohort.group_values == tuple(r.group_values for r in rows)
-    assert sum(cohort.labels) == 4  # only the exact cell "pos" is positive
-    assert len({id(v) for v in cohort.group_values}) == len(set(cohort.group_values)) == 2
+    assert oracle_cells(reference_load_csv(src, DIFF_SCHEMA)) == cohort.cells
+    # only the exact cell "pos" is positive
+    assert sum(count for (_, lab), count in cohort.cells.items() if lab) == 4
+    assert len({values for values, _ in cohort.cells}) == 2
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
@@ -435,15 +446,14 @@ def test_loader_drops_utf8_byte_order_mark(eol, tmp_path):
     bom.write_bytes(b"\xef\xbb\xbf" + plain.encode())
     cohort = load_csv(src, DIFF_SCHEMA)
     assert load_csv(bom, DIFF_SCHEMA) == cohort
-    assert cohort.labels == bytes([1, 0, 1])
-    assert cohort.group_values == (("x", "y"), ("x", "\u00e9"), ("x", "y"))
+    assert cohort.cells == {(("x", "y"), 1): 2, (("x", "\u00e9"), 0): 1}
 
 
 def test_loader_memory_does_not_grow_with_per_row_keys(tmp_path):
     # 100k rows in 8 (label cell, values) combinations, each with its own
-    # id: the cohort is two pointers and a byte per row, and the loader
-    # peaks near 1.8 MiB; a list of one key tuple per row, mapped to
-    # labels and values afterwards, peaks near 23 MiB
+    # id: the loader keeps one count per combination and peaks near
+    # 0.06 MiB; a label byte and a values pointer per row peaked near
+    # 1.8 MiB, and a list of one key tuple per row near 23 MiB
     rng = random.Random(5)
     src = tmp_path / "big.csv"
     with open(src, "w") as fh:
@@ -460,7 +470,7 @@ def test_loader_memory_does_not_grow_with_per_row_keys(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(cohort) == 100_000
-    assert peak < 8 * 2**20
+    assert peak < 2**19
 
 
 @pytest.mark.parametrize("header", [",a,b", "o,a,b"], ids=["named", "missing"])
@@ -469,9 +479,7 @@ def test_loader_reads_empty_column_name_like_row_oracle(header, tmp_path):
     src.write_text(header + "\npos,x,y\nneg,x,y\n")
     schema = TableSchema(label_column="", positive_value="pos", sensitive_columns=("a", "b"))
     got = outcome(load_csv, src, schema)
+    expected = outcome(reference_load_csv, src, schema)
     if isinstance(got, Cohort):
-        got = tuple(
-            Row(label=label, group_values=values, row_ordinal=i)
-            for i, (label, values) in enumerate(zip(got.labels, got.group_values))
-        )
-    assert got == outcome(reference_load_csv, src, schema)
+        got, expected = got.cells, oracle_cells(expected)
+    assert got == expected
