@@ -1,5 +1,7 @@
 """Command-line front end: area, region, analyze, planimeter.
 
+`area` and `analyze` run on the numpy-free layers imported here;
+`region` and `planimeter` import their numpy layers when they run.
 Exit codes: 0 success; 1 the requested single-k selection is
 infeasible; 2 usage or domain error; 3 internal error. All file outputs
 are written atomically (temp file in the target directory, then rename).
@@ -16,7 +18,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import data, pgm, planimeter, region, relations, selection
+from . import data, relations, selection
 from .errors import DomainError, FairfeasError, ZeroEpsP
 
 
@@ -59,6 +61,8 @@ def _grid_index(flag: str, value: float, n: int, rounding=round) -> int:
 
 
 def cmd_region(args) -> int:
+    from . import pgm, region
+
     disc = region.Discretization(
         n=args.n,
         # inner rounding keeps the window conservative: e.g. max 0.99 at
@@ -158,7 +162,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _family_from_args(args, grid: planimeter.DetectorGrid) -> planimeter.CurveFamily:
+def _family_from_args(args, grid):
+    from . import planimeter
+
     if args.family == "line:y=x":
         return planimeter.line_family(1.0, [0.0])
     if args.family == "acc-band":
@@ -166,12 +172,18 @@ def _family_from_args(args, grid: planimeter.DetectorGrid) -> planimeter.CurveFa
             raise FairfeasError("acc-band requires --gamma and --eps-p")
         if args.eps_p == 0.0:
             raise ZeroEpsP("equal-prevalence case is excluded")
-        c_max = min(2.0 * args.gamma / abs(args.eps_p), 1.0)
-        return planimeter.acc_band_family(c_max, grid.radius)
+        if not args.gamma >= 0.0:
+            raise DomainError(f"--gamma must be a number >= 0, got {args.gamma}")
+        ratio = 2.0 * args.gamma / abs(args.eps_p)
+        if math.isnan(ratio):
+            raise DomainError(f"--gamma {args.gamma} over --eps-p {args.eps_p} is not a number")
+        return planimeter.acc_band_family(min(ratio, 1.0), grid.radius)
     raise FairfeasError(f"unknown family {args.family!r}")
 
 
 def cmd_planimeter(args) -> int:
+    from . import pgm, planimeter
+
     g = args.g if args.g is not None else planimeter.required_grid_size(args.b, args.err)
     grid = planimeter.DetectorGrid(g=g)
     fam = _family_from_args(args, grid)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,11 +46,11 @@ def _to_fraction(x) -> Optional[Fraction]:
 
 
 def check_constraints(ppv_cap: float, lb: float, ub: float) -> None:
-    """ValueError unless 0 < ppv_cap <= 1 and lb <= 1 <= ub."""
+    """ValueError unless 0 < ppv_cap <= 1, lb <= 1 <= ub and lb is finite."""
     if not 0.0 < ppv_cap <= 1.0:
         raise ValueError("ppv_cap must lie in (0, 1]")
-    if not lb <= 1.0 <= ub:
-        raise ValueError("bounds must satisfy lb <= 1 <= ub")
+    if not (lb <= 1.0 <= ub and math.isfinite(lb)):
+        raise ValueError(f"bounds must satisfy lb <= 1 <= ub with lb finite, got {lb}, {ub}")
 
 
 @dataclass(frozen=True)
@@ -484,24 +485,13 @@ def k_scan(
 
 
 def _summarize(rows: Sequence[KScanRow]) -> str:
-    flags = [r.optimal for r in rows]
-    if all(flags):
-        return "All"
-    if not any(flags):
+    runs = [list(run) for optimal, run in itertools.groupby(rows, lambda r: r.optimal) if optimal]
+    if not runs:
         return "None"
-    best_start = best_end = None
-    i = 0
-    while i < len(flags):
-        if flags[i]:
-            j = i
-            while j + 1 < len(flags) and flags[j + 1]:
-                j += 1
-            if best_start is None or j - i > best_end - best_start:
-                best_start, best_end = i, j
-            i = j + 1
-        else:
-            i += 1
-    return f"[{rows[best_start].k_pct},{rows[best_end].k_pct}]"
+    if len(runs[0]) == len(rows):
+        return "All"
+    best = max(runs, key=len)  # the first of equally long runs
+    return f"[{best[0].k_pct},{best[-1].k_pct}]"
 
 
 def report_to_csv(

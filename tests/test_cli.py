@@ -166,6 +166,41 @@ def test_planimeter_zero_eps_p_is_usage_error(eps_p, tmp_path, capsys):
     assert err.count("\n") == 1 and "ZeroEpsP" in err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--gamma=nan", "--eps-p", "0.2"), "--gamma"),
+        (("--gamma=-1", "--eps-p", "0.2"), "--gamma"),
+        (("--gamma", "0.05", "--eps-p=nan"), "--eps-p"),
+        (("--gamma=inf", "--eps-p=-inf"), "--eps-p"),
+    ],
+)
+def test_planimeter_acc_band_rejects_unusable_values(flags, named, tmp_path, capsys):
+    code, out, err = run(
+        capsys, "planimeter", "--g", "9", "--family", "acc-band", "--out-dir", str(tmp_path), *flags
+    )
+    assert code == 2
+    assert out == "" and not any(tmp_path.iterdir())
+    assert err.count("\n") == 1 and "DomainError" in err and named in err
+
+
+# a zero or infinite tolerance is a band of width 0 or the whole square
+@pytest.mark.parametrize(
+    "flags, area",
+    [
+        (("--gamma", "0", "--eps-p", "0.2"), 0.0),
+        (("--gamma=inf", "--eps-p", "0.2"), 1.0),
+        (("--gamma", "0.05", "--eps-p=-inf"), 0.0),
+    ],
+)
+def test_planimeter_acc_band_edge_values(flags, area, tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "planimeter", "--g", "9", "--family", "acc-band", "--out-dir", str(tmp_path), *flags
+    )
+    assert code == 0
+    assert abs(float(out) - area) <= 2.0 / 9
+
+
 def test_region_huge_resolution_rejected_before_enumeration(tmp_path, capsys):
     code, out, err = run(capsys, "region", "--n", "100000", "--out-dir", str(tmp_path))
     assert code == 2
@@ -173,14 +208,32 @@ def test_region_huge_resolution_rejected_before_enumeration(tmp_path, capsys):
     assert err.count("\n") == 1 and "DomainError" in err
 
 
-def test_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(fairfeas.__file__))
-    probe = "import sys, fairfeas.cli; print('scipy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
+def test_import_loads_no_scipy(tmp_path):
+    # area and analyze run without numpy; the package resolves each
+    # submodule on first access and has no flat names
+    csv_path, schema = write_fixture(tmp_path, [["pos", "F", "u"], ["neg", "M", "r"]] * 3)
+    probe = f"""
+import contextlib, io, sys
+import fairfeas.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        fairfeas.cli.main(["area", "--gamma", "0.05", "--eps-p", "0.2"]),
+        fairfeas.cli.main(["analyze", "--csv", {str(csv_path)!r}, "--schema", {str(schema)!r},
+                           "--grouping", "sex", "--k-grid", "50,100"]),
+    ]
+assert codes == [0, 0], codes
+assert "numpy" not in sys.modules and "scipy" not in sys.modules
+import fairfeas
+for name in ("cli", "data", "errors", "metrics", "pgm", "planimeter", "region", "relations", "selection"):
+    assert getattr(fairfeas, name) is sys.modules["fairfeas." + name], name
+assert not hasattr(fairfeas, "heatmap")
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fairfeas.__file__)))
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "ok", result.stderr
 
 
 def write_fixture(tmp_path, rows):
@@ -262,6 +315,7 @@ ANALYZE_USAGE_ERRORS = [
     ("--grouping", "sex", "--cap", "0"),
     ("--grouping", "sex", "--lb", "2"),
     ("--grouping", "sex", "--ub", "0.5"),
+    ("--grouping", "sex", "--lb=-inf"),  # with "=": argparse reads a bare -inf as an option
 ]
 
 
@@ -270,7 +324,7 @@ def named_in_error(flags):
         return "nope"
     if "--cap" in flags:
         return "ppv_cap must lie in (0, 1]"
-    if "--lb" in flags or "--ub" in flags:
+    if any(flag.startswith(("--lb", "--ub")) for flag in flags):
         return "lb <= 1 <= ub"
     return "strict subset" if "--intersect" in flags else "at least 1"
 

@@ -9,6 +9,7 @@ from fairfeas import selection
 from fairfeas.errors import Infeasible, TooManyGroups
 from fairfeas.selection import (
     GroupSupply,
+    KScanRow,
     SelectionInstance,
     check_allocation,
     k_scan,
@@ -254,6 +255,12 @@ def test_too_many_groups_rejected():
         SelectionInstance(groups, k=2)
 
 
+def test_infinite_lower_bound_rejected():
+    # an infinite ub means "no upper bound"; -inf as lb has no exact rational
+    with pytest.raises(ValueError, match="lb <= 1 <= ub"):
+        SelectionInstance((GroupSupply("a", 5, 5),), k=2, lb=-math.inf)
+
+
 def test_default_reference_is_largest_group():
     groups = (GroupSupply("small", 1, 1), GroupSupply("big", 5, 5))
     assert SelectionInstance(groups, k=2).reference_group == "big"
@@ -269,6 +276,21 @@ def test_k_scan_summary_longest_run():
     groups = (GroupSupply("a", 100, 100), GroupSupply("b", 100, 100))
     report = k_scan(groups, cap=0.7)
     assert report.summary in ("All", "None") or report.summary.startswith("[")
+
+
+@pytest.mark.parametrize(
+    "flags, summary",
+    [
+        ("1101110", "[20,30]"),  # the longest run wins
+        ("0110110", "[10,15]"),  # equal runs: the smaller start
+        ("1111", "All"),
+        ("0000", "None"),
+        ("0100", "[10,10]"),
+    ],
+)
+def test_summarize_optimal_runs(flags, summary):
+    rows = [KScanRow(5 * (i + 1), i + 1, 1, 1, f == "1") for i, f in enumerate(flags)]
+    assert selection._summarize(rows) == summary
 
 
 @pytest.mark.parametrize("pct, n, k", [(58, 25, 15), (70, 45, 32), (50, 3, 2), (1, 10, 1)])
