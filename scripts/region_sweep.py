@@ -5,9 +5,9 @@ Produces three artifacts in --out-dir:
   sensitivity.csv   totals over grid step {0.01, 0.02} x {inclusive, strict}
   ppv_bins.csv      per-PPV-bin totals at eps = 0.05
 
-At n=100 the first heatmap takes about 0.08 s and each later one about
-0.04-0.05 s, because the triple sets are enumerated once for the whole
-sweep; the whole script takes about 0.8 s (2-vCPU shared machine,
+At n=100 the first heatmap takes about 0.05-0.07 s and each later one
+about 0.02 s, because the triple sets are enumerated once for the whole
+sweep; the whole script takes about 0.4-0.7 s (2-vCPU shared machine,
 Python 3.11, numpy 2.4).
 """
 

@@ -41,8 +41,10 @@ def _parse_k_grid(text: str) -> tuple[int, ...]:
         grid = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise FairfeasError(f"bad k grid {text!r}: comma-separated integers") from exc
-    if not grid or any(not 0 < pct <= 100 for pct in grid):
-        raise FairfeasError("k grid percents must lie in (0, 100]")
+    try:
+        selection.check_k_grid(grid)
+    except ValueError as exc:
+        raise FairfeasError(str(exc)) from exc  # keeps the usage error's stderr text
     return grid
 
 

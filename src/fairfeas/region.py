@@ -16,6 +16,8 @@ max(|d alpha|, |d beta|, |d v|) is at most e. Pair counting holds one
 set as three bitset tables, one per coordinate, whose row c marks the
 triples with that coordinate in [c - e, c + e]: a triple of the other
 set has as many partners as the AND of its three rows has set bits.
+Those bits are summed per prevalence set, not per triple: one
+np.add.reduceat per chunk of query rows, cut at the set boundaries.
 The triple sets do not depend on eps, the prevalence step, strictness
 or the PPV window, so `heatmap` and `ppv_binned_counts` enumerate those
 of the most recent Discretization once and keep them, read-only.
@@ -119,10 +121,14 @@ def enumerate_triples(p_idx: int, disc: Discretization) -> FeasibleTripleSet:
     return FeasibleTripleSet(p_idx=p_idx, triples=triples)
 
 
-def _cumulative_partners(rows: np.ndarray, cols: np.ndarray, eps_idx: int, height: int) -> np.ndarray:
-    """Entry r counts the pairs within eps_idx of a triple in cols and one of the first r in rows.
+def _segment_partners(
+    rows: np.ndarray, starts: np.ndarray, cols: np.ndarray, eps_idx: int, height: int
+) -> np.ndarray:
+    """Entry s counts the pairs within eps_idx of a triple in cols and one in segment s of rows.
 
     cols is (M, 3); rows is (3, R) intp, one row per coordinate; every index is below height.
+    starts is non-decreasing from 0: segment s is rows[:, starts[s]:starts[s + 1]], the
+    last one running to R. Each chunk sums its popcounts per segment with one reduceat.
     """
     words = -(-len(cols) // 64)
     diff = np.empty((height, len(cols)), dtype=np.int16)
@@ -132,15 +138,21 @@ def _cumulative_partners(rows: np.ndarray, cols: np.ndarray, eps_idx: int, heigh
         np.abs(np.subtract(np.arange(height, dtype=np.int16)[:, None], cols[:, k], out=diff), out=diff)
         np.less_equal(diff, min(eps_idx, height), out=bits[:, : len(cols)])  # any eps_idx >= 0
         tables.append(np.packbits(bits, axis=1, bitorder="little").view(np.uint64))
-    counts = np.zeros(rows.shape[1] + 1, dtype=np.int64)
+    counts = np.zeros(len(starts), dtype=np.int64)
+    ends = np.append(starts[1:], rows.shape[1])
+    filled = np.flatnonzero(ends > starts)  # reduceat reads a[i], not 0, at a repeated cut
+    first = starts[filled]
     step = max(1, _CHUNK_WORDS // max(words, 1))
-    for start in range(0, rows.shape[1], step):
+    for start in range(0, rows.shape[1] if words else 0, step):
         a, b, v = rows[:, start : start + step]
         acc = tables[0].take(a, axis=0)
         acc &= tables[1].take(b, axis=0)
         acc &= tables[2].take(v, axis=0)
-        counts[start + 1 : start + step + 1] = np.bitwise_count(acc).sum(axis=1)
-    return np.cumsum(counts, out=counts)
+        # the filled segments this chunk covers; the one holding its first row gets cut 0
+        lo, hi = np.searchsorted(first, [start, start + a.size - 1], side="right")
+        cuts = np.maximum(first[lo - 1 : hi] - start, 0) * words
+        counts[filled[lo - 1 : hi]] += np.add.reduceat(np.bitwise_count(acc).ravel(), cuts, dtype=np.int64)
+    return counts
 
 
 def count_joint(sets: tuple[FeasibleTripleSet, FeasibleTripleSet], eps_idx: int) -> int:
@@ -149,7 +161,7 @@ def count_joint(sets: tuple[FeasibleTripleSet, FeasibleTripleSet], eps_idx: int)
         raise ValueError(f"eps_idx must be >= 0, got {eps_idx}")
     t1, t2 = (s.triples for s in sets)  # Fortran order: t1.T is (3, M1) C-contiguous
     height = 1 + max(int(t.max(initial=0)) for t in (t1, t2))
-    return int(_cumulative_partners(t1.T.astype(np.intp), t2, eps_idx, height)[-1])
+    return int(_segment_partners(t1.T.astype(np.intp), np.zeros(1, np.intp), t2, eps_idx, height)[0])
 
 
 def _pair_counts(cols: np.ndarray, sizes: Sequence[int], eps_idx: int, height: int) -> np.ndarray:
@@ -162,8 +174,8 @@ def _pair_counts(cols: np.ndarray, sizes: Sequence[int], eps_idx: int, height: i
     counts = np.zeros((len(sizes), len(sizes)), dtype=np.int64)
     for j in range(len(sizes)):  # pairs (i, j) for every i >= j in one pass
         lo, hi = offsets[j], offsets[j + 1]
-        cum = _cumulative_partners(rows[:, lo:], cols[:, lo:hi].T, eps_idx, height)
-        counts[j:, j] = counts[j, j:] = np.diff(cum[offsets[j:] - lo])
+        part = _segment_partners(rows[:, lo:], offsets[j:-1] - lo, cols[:, lo:hi].T, eps_idx, height)
+        counts[j:, j] = counts[j, j:] = part
     return counts
 
 

@@ -53,6 +53,12 @@ def check_constraints(ppv_cap: float, lb: float, ub: float) -> None:
         raise ValueError(f"bounds must satisfy lb <= 1 <= ub with lb finite, got {lb}, {ub}")
 
 
+def check_k_grid(grid: Sequence[int]) -> None:
+    """ValueError unless grid is non-empty and every percent lies in (0, 100]."""
+    if not grid or any(not 0 < pct <= 100 for pct in grid):
+        raise ValueError("k grid percents must lie in (0, 100]")
+
+
 @dataclass(frozen=True)
 class GroupSupply:
     """Available positives and negatives for one group."""
@@ -460,6 +466,7 @@ def k_scan(
     summary is "All", "None", or the longest contiguous optimal run
     "[a,b]" in percent (ties toward smaller a).
     """
+    check_k_grid(k_grid)
     groups = tuple(groups)
     n = sum(g.n for g in groups)
 

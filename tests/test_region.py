@@ -157,6 +157,30 @@ def test_heatmap_counts_do_not_depend_on_chunk_size(monkeypatch):
     assert np.array_equal(heatmap(disc, 0.1).counts, whole)
 
 
+SEGMENT_SIZES = [(3, 0, 4), (0, 5, 2), (2, 6, 0), (0, 0, 7, 0, 0, 1), (1,) * 9, (0,), ()]
+
+
+@pytest.mark.parametrize("chunk_words", [1, 5, region_module._CHUNK_WORDS])
+def test_segment_partners_match_double_loop(monkeypatch, chunk_words):
+    # chunks of 1 or 5 query rows cut the multi-row segments; the default holds them all in one
+    monkeypatch.setattr(region_module, "_CHUNK_WORDS", chunk_words)
+    rng = np.random.default_rng(chunk_words)
+    height = 9
+    for sizes in SEGMENT_SIZES:
+        for n_cols, eps_idx in ((0, 2), (1, 0), (40, 1), (70, 2), (130, 3)):
+            rows = rng.integers(0, height, size=(3, sum(sizes)), dtype=np.intp)
+            cols = rng.integers(0, height, size=(n_cols, 3)).astype(np.int16)
+            bounds = np.cumsum((0,) + sizes)
+            got = region_module._segment_partners(rows, bounds[:-1], cols, eps_idx, height)
+            col_list = [tuple(c) for c in cols.tolist()]
+            expected = [
+                naive_joint_count([tuple(r) for r in rows.T[lo:hi].tolist()], col_list, eps_idx)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            # with one segment per row, as in (1,) * 9, entry r is row r's own partner count
+            assert got.tolist() == expected, (sizes, n_cols, eps_idx)
+
+
 def test_heatmap_memory_stays_bounded_at_n_100():
     # 1.2 MiB here; querying all 16,478 triples against the first column in one
     # chunk instead raises the peak to about 2.5 MiB
@@ -234,6 +258,15 @@ def test_binned_counts_match_filtered_oracle():
             assert ppv_binned_counts(disc, eps_idx / 20, bins=bins[::-1]) == expected[::-1]
     # narrowed case: (4, 8) holds no triple at p = 1 or from p = 11 on, so sets are empty mid-grid
     assert not in_bins[0][1] and in_bins[0][5] and not in_bins[0][11]
+
+
+def test_binned_counts_with_last_prevalence_empty_in_bin():
+    disc = Discretization(n=10)
+    grid = prevalence_grid(disc, 0.01)
+    in_bin = {p: {t for t in naive_triples(p, disc) if 1 <= t[2] <= 4} for p in grid}
+    assert in_bin[grid[-2]] and not in_bin[grid[-1]]  # p = 9 has PPV indices 5, 6, 8, 9
+    expected = sum(naive_joint_count(in_bin[p1], in_bin[p2], 1) for p1 in grid for p2 in grid)
+    assert ppv_binned_counts(disc, 1 / 10, bins=[(1, 4)]) == [expected]
 
 
 @pytest.mark.parametrize("n", [50, 200])

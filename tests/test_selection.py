@@ -293,6 +293,12 @@ def test_summarize_optimal_runs(flags, summary):
     assert selection._summarize(rows) == summary
 
 
+@pytest.mark.parametrize("k_grid", [(), (0,), (150,), (50, 101), (-5,)])
+def test_k_scan_rejects_bad_k_grid(k_grid):
+    with pytest.raises(ValueError, match=r"k grid percents must lie in \(0, 100\]"):
+        k_scan((GroupSupply("a", 10, 10),), k_grid=k_grid)
+
+
 @pytest.mark.parametrize("pct, n, k", [(58, 25, 15), (70, 45, 32), (50, 3, 2), (1, 10, 1)])
 def test_k_scan_rounds_exact_halves_up(pct, n, k):
     # 58% of 25 is 14.5 exactly, but 0.58 * 25 is 14.499999999999998 in floats
