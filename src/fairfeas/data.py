@@ -40,6 +40,8 @@ class TableSchema:
             raise ValueError("label column cannot also be sensitive")
         if not self.sensitive_columns:
             raise ValueError("at least one sensitive column is required")
+        if len(set(self.sensitive_columns)) != len(self.sensitive_columns):
+            raise ValueError(f"sensitive columns must be distinct, got {list(self.sensitive_columns)}")
 
     @classmethod
     def from_json(cls, path) -> "TableSchema":
@@ -96,6 +98,8 @@ class GroupingSpec:
     def __post_init__(self):
         if not self.columns:
             raise ValueError("grouping needs at least one column")
+        if len(set(self.columns)) != len(self.columns):
+            raise ValueError(f"grouping columns must be distinct, got {list(self.columns)}")
 
     def check(self, schema: TableSchema, coarser: Optional["GroupingSpec"] = None) -> None:
         """ValueError unless all columns are sensitive and strictly refine coarser."""

@@ -67,4 +67,4 @@ class Infeasible(FairfeasError):
 
 
 class TooManyGroups(FairfeasError):
-    """The exact solver is limited to 8 groups."""
+    """The exact solver is limited to selection.MAX_GROUPS groups."""

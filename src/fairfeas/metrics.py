@@ -1,26 +1,11 @@
-"""Group rate vectors, group prevalences, and precision at k.
-
-Undefined rates are reported as ``None`` rather than 0 or NaN; callers
-must branch on that.
-"""
+"""Group prevalences and precision at k."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import KOutOfRange, NotSorted, TooFewGroups
-
-
-@dataclass(frozen=True)
-class MetricPoint:
-    """Group-level rate vector. ``None`` marks an undefined rate."""
-
-    fpr: Optional[float]
-    fnr: Optional[float]
-    ppv: Optional[float]
-    acc: Optional[float]
-    prevalence: Optional[float]
 
 
 @dataclass(frozen=True)

@@ -83,36 +83,6 @@ class RegionSpec:
         _check_prevalences(self.p, self.eps_p)
 
 
-@dataclass(frozen=True)
-class OffsetBounds:
-    """Extreme values of the FPR - FNR offset achievable within gamma."""
-
-    c_max: float
-    c_min: float
-
-
-def fpr_from_relation(p: float, ppv: float, fnr: float) -> float:
-    """FPR implied by prevalence, PPV, and FNR.
-
-    The caller must check the result is <= 1 for realizability.
-    """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie in (0, 1), got {p}")
-    if not 0.0 < ppv <= 1.0:
-        raise DomainError(f"ppv must lie in (0, 1], got {ppv}")
-    if not 0.0 <= fnr <= 1.0:
-        raise DomainError(f"fnr must lie in [0, 1], got {fnr}")
-    return (p / (1.0 - p)) * ((1.0 - ppv) / ppv) * (1.0 - fnr)
-
-
-def acc_identity(p: float, fnr: float, fpr: float) -> float:
-    """Accuracy as the prevalence-weighted mix of the two true rates."""
-    for name, v in (("p", p), ("fnr", fnr), ("fpr", fpr)):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1], got {v}")
-    return (1.0 - fnr) * p + (1.0 - fpr) * (1.0 - p)
-
-
 def relaxed_fnr_acc(r: AccRelaxation, fpr1: float) -> float:
     """Group-1 FNR that balances accuracies under the given tolerances.
 
@@ -135,12 +105,6 @@ def residual_acc_balance(r: AccRelaxation, fpr1: float, fnr1: float) -> float:
     return lhs - rhs
 
 
-def offset_bounds(spec: RegionSpec) -> OffsetBounds:
-    """Extremes of c = FPR - FNR over the tolerance box [-gamma, gamma]^3."""
-    c_max = 2.0 * spec.gamma / abs(spec.eps_p)
-    return OffsetBounds(c_max=c_max, c_min=-c_max)
-
-
 def fairness_area_acc(spec: RegionSpec) -> float:
     """Closed-form area of the FPR/FNR/ACC fairness region in the unit square.
 
@@ -148,7 +112,7 @@ def fairness_area_acc(spec: RegionSpec) -> float:
     to 4*gamma/eps_p - 4*gamma^2/eps_p^2 while 2*gamma <= |eps_p|. The
     clamp at c = 1 keeps the band inside the square (saturation).
     """
-    c = min(offset_bounds(spec).c_max, 1.0)
+    c = min(2.0 * spec.gamma / abs(spec.eps_p), 1.0)
     return 2.0 * c - c * c
 
 

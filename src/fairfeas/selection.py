@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import Infeasible, TooManyGroups
-from .metrics import MetricPoint
 
 MAX_GROUPS = 8
 
@@ -54,9 +53,11 @@ def check_constraints(ppv_cap: float, lb: float, ub: float) -> None:
 
 
 def check_k_grid(grid: Sequence[int]) -> None:
-    """ValueError unless grid is non-empty and every percent lies in (0, 100]."""
+    """ValueError unless grid is non-empty, in (0, 100] and strictly increasing."""
     if not grid or any(not 0 < pct <= 100 for pct in grid):
         raise ValueError("k grid percents must lie in (0, 100]")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("k grid percents must lie in (0, 100] and strictly increase")
 
 
 @dataclass(frozen=True)
@@ -119,13 +120,11 @@ class GroupAllocation:
 
 @dataclass(frozen=True)
 class SelectionResult:
+    """Status, allocation and true-positive total; rates follow from the allocation."""
+
     status: str  # "optimal" | "infeasible"
     allocation: Optional[GroupAllocation]
     tp_total: int
-    list_ppv: Optional[float]
-    recall: Optional[float]
-    per_group: dict[str, MetricPoint]
-    disparities: dict[str, dict[str, Optional[float]]]
 
 
 @dataclass(frozen=True)
@@ -361,61 +360,13 @@ def solve_exact(inst: SelectionInstance) -> SelectionResult:
     best_alloc = search(ref, others, inst.k, cap_t, lb, ub)
 
     if best_alloc is None:
-        return SelectionResult(
-            status="infeasible",
-            allocation=None,
-            tp_total=0,
-            list_ppv=None,
-            recall=None,
-            per_group={},
-            disparities={},
-        )
+        return SelectionResult("infeasible", None, 0)
     allocation = GroupAllocation(
         t={key: t for key, t, _ in best_alloc},
         f={key: f for key, _, f in best_alloc},
     )
-    result = _build_result(inst, allocation)
     check_allocation(inst, allocation)
-    return result
-
-
-def _selection_metrics(g: GroupSupply, t: int, f: int) -> MetricPoint:
-    return MetricPoint(
-        fpr=f / g.negatives if g.negatives else None,
-        fnr=(g.positives - t) / g.positives if g.positives else None,
-        ppv=t / (t + f) if t + f else None,
-        acc=(t + g.negatives - f) / g.n,
-        prevalence=g.positives / g.n,
-    )
-
-
-def _build_result(inst: SelectionInstance, alloc: GroupAllocation) -> SelectionResult:
-    per_group = {
-        g.group_key: _selection_metrics(g, alloc.t[g.group_key], alloc.f[g.group_key])
-        for g in inst.groups
-    }
-    ref_point = per_group[inst.reference_group]
-    disparities: dict[str, dict[str, Optional[float]]] = {}
-    for g in inst.groups:
-        if g.group_key == inst.reference_group:
-            continue
-        row = {}
-        for metric in CONSTRAINED_METRICS:
-            rv = getattr(ref_point, metric)
-            gv = getattr(per_group[g.group_key], metric)
-            row[metric] = None if rv in (None, 0.0) or gv is None else gv / rv
-        disparities[g.group_key] = row
-    tp = sum(alloc.t.values())
-    total_p = sum(g.positives for g in inst.groups)
-    return SelectionResult(
-        status="optimal",
-        allocation=alloc,
-        tp_total=tp,
-        list_ppv=tp / inst.k,
-        recall=tp / total_p if total_p else None,
-        per_group=per_group,
-        disparities=disparities,
-    )
+    return SelectionResult("optimal", allocation, sum(allocation.t.values()))
 
 
 def check_allocation(inst: SelectionInstance, alloc: GroupAllocation) -> None:

@@ -31,7 +31,6 @@ from fairfeas.selection import (
     GroupAllocation,
     SelectionInstance,
     SelectionResult,
-    _build_result,
     _to_fraction,
     check_allocation,
 )
@@ -309,22 +308,13 @@ def reference_solve_exact(inst: SelectionInstance) -> SelectionResult:
             descend(0, t_ref + f_ref, t_ref, [(ref.group_key, t_ref, f_ref)], bounds)
 
     if best_alloc is None:
-        return SelectionResult(
-            status="infeasible",
-            allocation=None,
-            tp_total=0,
-            list_ppv=None,
-            recall=None,
-            per_group={},
-            disparities={},
-        )
+        return SelectionResult("infeasible", None, 0)
     allocation = GroupAllocation(
         t={key: t for key, t, _ in best_alloc},
         f={key: f for key, _, f in best_alloc},
     )
-    result = _build_result(inst, allocation)
     check_allocation(inst, allocation)
-    return result
+    return SelectionResult("optimal", allocation, sum(allocation.t.values()))
 
 
 def brute_force_mask(grid, fam, fill="curve-only"):

@@ -303,9 +303,9 @@ def test_analyze_missing_column_usage_error(tmp_path, capsys):
     assert "MissingColumn" in err
 
 
-# grouping columns must be sensitive columns, an intersection must strictly
-# refine the grouping and a sample must hold a row; each case is a usage
-# error raised before the file is read
+# grouping columns must be distinct sensitive columns, an intersection must
+# strictly refine the grouping, a sample must hold a row and the k grid must
+# strictly increase; each case is a usage error raised before the file is read
 ANALYZE_USAGE_ERRORS = [
     ("--grouping", "nope"),
     ("--grouping", "sex", "--intersect", "sex,nope"),
@@ -316,12 +316,19 @@ ANALYZE_USAGE_ERRORS = [
     ("--grouping", "sex", "--lb", "2"),
     ("--grouping", "sex", "--ub", "0.5"),
     ("--grouping", "sex", "--lb=-inf"),  # with "=": argparse reads a bare -inf as an option
+    ("--grouping", "sex", "--k-grid=45,10,60"),
+    ("--grouping", "sex,sex"),
+    ("--grouping", "sex", "--intersect", "sex,region,region"),
 ]
 
 
 def named_in_error(flags):
     if "nope" in " ".join(flags):
         return "nope"
+    if "--k-grid=45,10,60" in flags:
+        return "strictly increase"
+    if any(len(set(flag.split(","))) < len(flag.split(",")) for flag in flags):
+        return "must be distinct"
     if "--cap" in flags:
         return "ppv_cap must lie in (0, 1]"
     if any(flag.startswith(("--lb", "--ub")) for flag in flags):
@@ -369,11 +376,12 @@ def test_analyze_rejects_unusable_values_before_loading(flags, tmp_path, capsys,
         ({"label": "outcome", "positive": "pos", "sensitive": ["sex"], "id": ["id"]}, "'id'"),
         ({"label": "outcome", "positive": "pos", "sensitive": ["sex"], "id": {"a": 1}}, "'id'"),
         ({"label": "outcome", "positive": "pos", "sensitive": ["sex"], "id": 5}, "'id'"),
+        ({"label": "outcome", "positive": "pos", "sensitive": ["sex", "sex", "region"]}, "distinct"),
     ],
     ids=[
         "missing label", "top-level array", "sensitive not a list",
         "positive bool", "positive float", "positive null", "positive list",
-        "id list", "id object", "id int",
+        "id list", "id object", "id int", "repeated sensitive",
     ],
 )
 def test_analyze_malformed_schema_usage_error(cfg, named, tmp_path, capsys):

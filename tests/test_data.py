@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,16 @@ def test_schema_from_json(tmp_path):
     schema = TableSchema.from_json(cfg)
     assert schema.positive_value == "1"  # coerced to the exact string form
     assert schema.sensitive_columns == ("a",)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parents[1] / "schemas").glob("*.json")), ids=lambda p: p.name
+)
+def test_shipped_schema_loads(path):
+    cfg = json.loads(path.read_text())
+    schema = TableSchema.from_json(path)
+    assert schema.label_column == cfg["label"]
+    assert schema.sensitive_columns == tuple(cfg["sensitive"])
 
 
 def test_group_stats_hand_counted():

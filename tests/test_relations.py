@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairfeas.errors import DomainError, SingularDenominator, ZeroEpsP
@@ -10,10 +10,7 @@ from fairfeas.relations import (
     AccRelaxation,
     PpvRelaxation,
     RegionSpec,
-    acc_identity,
     fairness_area_acc,
-    fpr_from_relation,
-    offset_bounds,
     relaxed_fnr_acc,
     relaxed_fnr_ppv,
     residual_acc_balance,
@@ -57,42 +54,6 @@ def ppv_relaxations():
     ))
 
 
-def test_fpr_from_relation_value():
-    # p=0.5 cancels the odds factor; ppv=0.5 doubles; fnr=0.2 scales
-    assert math.isclose(fpr_from_relation(0.5, 0.5, 0.2), 0.8, abs_tol=1e-15)
-
-
-def test_fpr_from_relation_can_exceed_one():
-    assert fpr_from_relation(0.8, 0.2, 0.0) > 1.0
-
-
-def test_acc_identity_value():
-    assert math.isclose(acc_identity(0.5, 0.4, 0.2), 0.7, abs_tol=1e-15)
-
-
-# (tp, fp, tn, fn) of one group; the rates below are the group's own
-confusion_counts = st.tuples(*[st.integers(0, 500)] * 4)
-
-
-@given(confusion_counts)
-def test_fpr_ppv_fnr_relation(counts):
-    """FPR = (p/(1-p)) ((1-PPV)/PPV) (1-FNR) whenever all terms exist."""
-    tp, fp, tn, fn = counts
-    assume(tp > 0 and fp + tn > 0)  # PPV > 0, FPR and FNR defined, 0 < p < 1
-    p = (tp + fn) / (tp + fp + tn + fn)
-    implied = fpr_from_relation(p, ppv=tp / (tp + fp), fnr=fn / (fn + tp))
-    assert math.isclose(fp / (fp + tn), implied, abs_tol=1e-12)
-
-
-@given(confusion_counts)
-def test_acc_is_prevalence_weighted_rates(counts):
-    tp, fp, tn, fn = counts
-    assume(tp + fn > 0 and fp + tn > 0)  # FNR and FPR defined
-    total = tp + fp + tn + fn
-    mix = acc_identity((tp + fn) / total, fnr=fn / (fn + tp), fpr=fp / (fp + tn))
-    assert math.isclose((tp + tn) / total, mix, abs_tol=1e-12)
-
-
 def test_relaxed_fnr_acc_known_point():
     r = AccRelaxation(eps_fpr=0.0, eps_fnr=0.0, eps_acc=0.1, eps_p=0.2, p=0.3)
     assert math.isclose(relaxed_fnr_acc(r, fpr1=0.2), 0.7, abs_tol=1e-12)
@@ -108,13 +69,6 @@ def test_acc_relaxation_rejects_zero_eps_p():
 def test_acc_solution_zeroes_residual(r, fpr1):
     fnr1 = relaxed_fnr_acc(r, fpr1)
     assert abs(residual_acc_balance(r, fpr1, fnr1)) < 1e-9
-
-
-def test_offset_bounds_symmetric():
-    spec = RegionSpec(gamma=0.05, eps_p=0.2, p=0.3)
-    ob = offset_bounds(spec)
-    assert ob.c_max == pytest.approx(0.5)
-    assert ob.c_min == pytest.approx(-0.5)
 
 
 def test_area_formula_value():

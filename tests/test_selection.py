@@ -58,8 +58,6 @@ def test_select_everything_when_unbounded():
     assert res.status == "optimal"
     assert res.allocation.t == {"a": 3, "b": 5}
     assert res.allocation.f == {"a": 4, "b": 2}
-    assert res.list_ppv == pytest.approx(8 / 14)  # overall prevalence
-    assert res.recall == pytest.approx(1.0)
 
 
 def test_group_count_optimum_matches_item_oracle():
@@ -91,12 +89,8 @@ def checked(monkeypatch):
 
 
 def assert_matches_reference(inst):
-    res, ref = solve_exact(inst), reference_solve_exact(inst)
-    assert (res.status, res.tp_total, res.allocation) == (
-        ref.status,
-        ref.tp_total,
-        ref.allocation,
-    ), f"instance {inst}"
+    res = solve_exact(inst)
+    assert res == reference_solve_exact(inst), f"instance {inst}"
     return res
 
 
@@ -185,7 +179,6 @@ def test_zero_positive_group_skips_fnr_constraint():
     res = solve_exact(inst)
     assert res.status == "optimal"
     assert res.tp_total == item_oracle(inst)
-    assert res.per_group["a"].fnr is None
 
 
 def test_zero_count_groups_match_item_oracle():
@@ -198,17 +191,6 @@ def test_zero_count_groups_match_item_oracle():
             res = solve_exact(inst)
             got = res.tp_total if res.status == "optimal" else -1
             assert got == item_oracle(inst), f"reference {ref}, k={k}"
-
-
-def test_result_reports_disparities():
-    groups = (GroupSupply("a", 10, 10), GroupSupply("b", 10, 10))
-    inst = SelectionInstance(groups, k=10, ppv_cap=0.7)
-    res = solve_exact(inst)
-    assert res.status == "optimal"
-    for row in res.disparities.values():
-        for value in row.values():
-            if value is not None:
-                assert 0.8 - 1e-12 <= value <= 1.2 + 1e-12
 
 
 def test_checker_rejects_bad_allocation():
@@ -293,7 +275,9 @@ def test_summarize_optimal_runs(flags, summary):
     assert selection._summarize(rows) == summary
 
 
-@pytest.mark.parametrize("k_grid", [(), (0,), (150,), (50, 101), (-5,)])
+@pytest.mark.parametrize(
+    "k_grid", [(), (0,), (150,), (50, 101), (-5,), (45, 10, 60), (30, 30)]
+)
 def test_k_scan_rejects_bad_k_grid(k_grid):
     with pytest.raises(ValueError, match=r"k grid percents must lie in \(0, 100\]"):
         k_scan((GroupSupply("a", 10, 10),), k_grid=k_grid)
