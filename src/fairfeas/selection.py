@@ -7,8 +7,9 @@ positive count t_j and selected negative count f_j, so a search over
 those integer allocations is exact, with no LP relaxation or external
 solver. Two groups are searched by objective value, one integer test
 per (t_ref, t) cell; one group or three and more by branch-and-bound
-with a depth-first descent. Ties go, on both paths, to the first
-allocation in the order t_ref descending, then f_ref ascending.
+with a depth-first descent of at most MAX_DESCENT_CALLS steps. Ties
+go, on both paths, to the first allocation in the order t_ref
+descending, then f_ref ascending.
 
 All ratio constraints are checked exactly, by integer
 cross-multiplication in the search and again with fractions.Fraction
@@ -26,9 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import Infeasible, TooManyGroups
+from .errors import DomainError, Infeasible, TooManyGroups
 
 MAX_GROUPS = 8
+
+#: Descent steps one search over three or more groups may take before
+#: it stops with DomainError; 4e6 steps took 3.2-6.6 s on a shared
+#: 2-vCPU VM (Python 3.11).
+MAX_DESCENT_CALLS = 4_000_000
 
 #: k_scan's percentage grid: every 5% from 5 to 100.
 DEFAULT_K_GRID = tuple(range(5, 101, 5))
@@ -232,81 +238,90 @@ def _two_group_search(ref, others, k, cap_t, lb, ub) -> Optional[list[tuple[str,
     return None
 
 
+def _suffix_sums(values) -> list[int]:
+    """[sum(values[i:]) for i in 0..len(values)], the last entry 0."""
+    return list(itertools.accumulate(reversed(values), initial=0))[::-1]
+
+
 def _branch_and_bound(ref, others, k, cap_t, lb, ub) -> Optional[list[tuple[str, int, int]]]:
     """solve_exact's allocation for any number of other groups, or None.
 
     Enumerates the reference group's allocation first (t_ref descending,
     f_ref ascending), which fixes every ratio interval, then searches
-    the remaining groups depth-first (t descending, f ascending) with an
-    admissible bound; the last group is resolved in closed form. The
-    FPR intervals are tabulated once per f_ref, the FNR intervals once
-    per t_ref, and the PPV wedge becomes a range of f for each t.
+    the remaining groups depth-first (t descending, f ascending); the
+    last group is resolved in closed form. The FNR intervals, clipped to
+    each group's supply, are tabulated once per t_ref, the FPR intervals
+    once per f_ref, and the PPV wedge becomes a range of f for each t.
+    A subtree is pruned when the list size left, rem, lies outside the
+    sum of the remaining groups' interval ends (box), or when its
+    true positives cannot beat the best found: they are bounded by the
+    FNR tops, by rem less the FPR floors, by the PPV cap, and, under the
+    wedge a/b <= ppv <= c/e, by c * rem // e. Past MAX_DESCENT_CALLS
+    descent steps the search raises DomainError.
     """
     m = len(others)
-    # capacity of groups after position i in the search order
-    suffix_cap = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + others[i].n
-    # per f_ref: each other group's FPR range [f_lo, f_hi], or None
-    # when some group's range holds no count it has
+    others_n = sum(g.n for g in others)
+    # per f_ref: each other group's FPR range clipped to its supply and
+    # the suffix sums of both ends, or None when some range is empty
     f_table = []
     for f_ref in range(ref.negatives + 1):
         row = [_num_interval(f_ref, ref.negatives, g.negatives, lb, ub) for g in others]
-        ok = all(max(lo, 0) <= min(hi, g.negatives) for (lo, hi), g in zip(row, others))
-        f_table.append(row if ok else None)
+        row = [(max(lo, 0), min(hi, g.negatives)) for (lo, hi), g in zip(row, others)]
+        if all(lo <= hi for lo, hi in row):
+            f_table.append((row, _suffix_sums([lo for lo, _ in row]), _suffix_sums([hi for _, hi in row])))
+        else:
+            f_table.append(None)
 
     best_t = -1
     best_alloc: Optional[list[tuple[str, int, int]]] = None
-    # set per reference pair: t ranges, their suffix sums, f ranges, and
-    # the PPV wedge a/b <= ppv <= c/e (None when the reference list is empty)
-    t_row = t_sum = f_row = wedge = None
+    calls = 0
+    # set per reference pair: t ranges, the suffix sums of their tops,
+    # f ranges, the suffix sums of their floors, the box [box_lo, box_hi]
+    # for rem, and the PPV wedge a/b <= ppv <= c/e (a = 0, c = e = 1
+    # when the reference list is empty)
+    t_row = t_sum = f_row = fl_sum = box_lo = box_hi = wedge = None
 
     def descend(i, used, cur_t, alloc):
-        nonlocal best_t, best_alloc
+        nonlocal best_t, best_alloc, calls
+        calls += 1
+        if calls > MAX_DESCENT_CALLS:
+            raise DomainError(
+                f"the exact selection search over {m + 1} groups at k={k} exceeded "
+                f"{MAX_DESCENT_CALLS:,} steps; analyze a sample (--sample-n)"
+            )
         rem = k - used
-        if rem < 0 or rem > suffix_cap[i]:
+        if not box_lo[i] <= rem <= box_hi[i]:
             return
         if i == m:
-            if rem == 0 and cur_t > best_t:
+            if cur_t > best_t:
                 best_t = cur_t
                 best_alloc = alloc
             return
-        # admissible bound: remaining groups contribute at most their
-        # FNR-interval tops, never more than the budget or the cap
-        if cur_t + min(t_sum[i], rem, cap_t - cur_t) <= best_t:
+        a, b, c, e = wedge
+        # admissible bound on the true positives the remaining groups add
+        if cur_t + min(t_sum[i], rem - fl_sum[i], cap_t - cur_t, c * rem // e) <= best_t:
             return
         g = others[i]
         t_lo, t_hi = t_row[i]
         f_lo, f_hi = f_row[i]
         if i == m - 1:
             # closed form: t + f = rem exactly
-            if rem == 0:
-                if t_lo <= 0 and f_lo <= 0 and cur_t > best_t:
-                    best_t = cur_t
-                    best_alloc = alloc + [(g.group_key, 0, 0)]
-                return
-            lo = max(t_lo, rem - min(f_hi, g.negatives), 0)
-            hi = min(t_hi, rem - f_lo, g.positives, rem, cap_t - cur_t)
-            if wedge is not None:  # PPV wedge at fixed list size rem
-                a, b, c, e = wedge
-                lo = max(lo, -((-a * rem) // b))
-                hi = min(hi, c * rem // e)
+            lo = max(t_lo, rem - f_hi, -((-a * rem) // b))
+            hi = min(t_hi, rem - f_lo, cap_t - cur_t, c * rem // e)
             if lo <= hi and cur_t + hi > best_t:
                 best_t = cur_t + hi
                 best_alloc = alloc + [(g.group_key, hi, rem - hi)]
             return
-        for t in range(min(t_hi, g.positives, rem, cap_t - cur_t), max(t_lo, 0) - 1, -1):
-            f_first = max(f_lo, 0)
-            f_last = min(f_hi, g.negatives, rem - t)
-            if wedge is not None:  # a/b <= t/(t+f) <= c/e; t = f = 0 is exempt
-                a, b, c, e = wedge
-                if a > 0:
-                    f_last = min(f_last, b * t // a - t)
-                if c < e:
-                    if c:
-                        f_first = max(f_first, -((c - e) * t // c))
-                    elif t:
-                        continue
+        for t in range(min(t_hi, rem, cap_t - cur_t), t_lo - 1, -1):
+            f_first, f_last = f_lo, min(f_hi, rem - t)
+            # a/b <= t/(t+f) <= c/e; t = f = 0 is exempt
+            if a > 0:
+                f_last = min(f_last, b * t // a - t)
+            if c < e:
+                if c:
+                    f_first = max(f_first, -((c - e) * t // c))
+                elif t:
+                    continue
             for f in range(f_first, f_last + 1):
                 descend(i + 1, used + t + f, cur_t + t, alloc + [(g.group_key, t, f)])
 
@@ -318,22 +333,22 @@ def _branch_and_bound(ref, others, k, cap_t, lb, ub) -> Optional[list[tuple[str,
         t_row = []
         for g in others:
             fn_lo, fn_hi = _num_interval(ref.positives - t_ref, ref.positives, g.positives, lb, ub)
-            t_row.append((g.positives - fn_hi, g.positives - fn_lo))
-        if any(max(lo, 0) > min(hi, g.positives) for (lo, hi), g in zip(t_row, others)):
+            t_row.append((max(g.positives - fn_hi, 0), min(g.positives - fn_lo, g.positives)))
+        if any(lo > hi for lo, hi in t_row):
             continue
-        t_sum = [0] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            t_sum[i] = t_sum[i + 1] + t_row[i][1]
+        tl_sum, t_sum = _suffix_sums([lo for lo, _ in t_row]), _suffix_sums([hi for _, hi in t_row])
         # smaller f_ref leave more than the other groups can hold
-        for f_ref in range(max(0, k - t_ref - suffix_cap[0]), min(ref.negatives, k - t_ref) + 1):
+        for f_ref in range(max(0, k - t_ref - others_n), min(ref.negatives, k - t_ref) + 1):
             # the bound only tightens as f_ref grows and best_t rises
             if t_ref + min(t_sum[0], k - t_ref - f_ref, cap_t - t_ref) <= best_t:
                 break
-            f_row = f_table[f_ref]
-            if f_row is None:
+            if f_table[f_ref] is None:
                 continue
+            f_row, fl_sum, fh_sum = f_table[f_ref]
+            box_lo = [x + y for x, y in zip(tl_sum, fl_sum)]
+            box_hi = [x + y for x, y in zip(t_sum, fh_sum)]
             s_ref = t_ref + f_ref
-            wedge = None
+            wedge = (0, 1, 1, 1)
             if s_ref:
                 c, e = (1, 1) if ub is None else (ub[0] * t_ref, ub[1] * s_ref)
                 wedge = (lb[0] * t_ref, lb[1] * s_ref, c, e)

@@ -428,6 +428,24 @@ def test_analyze_single_k_infeasible_exit_code(tmp_path, capsys):
     assert json.loads(out)["k_scan"]["summary"] == "None"
 
 
+def test_analyze_search_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # four groups take the depth-first descent; past its step budget
+    # analyze stops with a usage error that points to sampling
+    monkeypatch.setattr(selection, "MAX_DESCENT_CALLS", 100)
+    rows = []
+    for (sex, region), p in {("F", "u"): 50, ("F", "r"): 40, ("M", "u"): 30, ("M", "r"): 20}.items():
+        rows += [["pos", sex, region]] * p + [["neg", sex, region]] * (100 - p)
+    src, schema = write_fixture(tmp_path, rows)
+    code, out, err = run(
+        capsys,
+        "analyze", "--csv", str(src), "--schema", str(schema),
+        "--grouping", "sex,region", "--k-grid", "15",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: DomainError: ") and "--sample-n" in err
+
+
 def test_analyze_sampling_deterministic(tmp_path, capsys):
     rows = [["pos" if i % 3 == 0 else "neg", "F" if i % 2 else "M", "u"] for i in range(90)]
     src, schema = write_fixture(tmp_path, rows)

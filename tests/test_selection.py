@@ -6,7 +6,7 @@ from dataclasses import asdict
 import pytest
 
 from fairfeas import selection
-from fairfeas.errors import Infeasible, TooManyGroups
+from fairfeas.errors import DomainError, Infeasible, TooManyGroups
 from fairfeas.selection import (
     GroupSupply,
     KScanRow,
@@ -150,6 +150,54 @@ def test_two_group_search_matches_reference_solver(lb, ub, ref, checked):
                 inst = SelectionInstance(groups, k, cap, lb, ub, ref)
                 optimal += assert_matches_reference(inst).status == "optimal"
     assert optimal > 0 and len(checked) == optimal
+
+
+# loose, tight, equal, one-sided, vacuous-lower and near-equal ratio bounds
+WIDE_BOUNDS = ((0.8, 1.2), (0.5, 2), (0.9, 1.1), (1, 1), (0.8, math.inf), (-0.5, 1.2), (0.95, 1.05))
+WIDE_CAPS = (0.35, 0.5, 0.6, 0.7, 0.85, 1.0)
+
+
+def test_branch_and_bound_matches_reference_solver(checked):
+    # the pruned descent for three to five groups against the Fraction
+    # search: whole results, tie-broken allocation included; about one
+    # group in six lacks positives and one in six negatives
+    rng = random.Random(30)
+    optimal = 0
+    for _ in range(500):
+        groups = []
+        for j in range(rng.randint(3, 5)):
+            p, n = rng.randint(0, 12), rng.randint(0, 12)
+            kind = rng.random()
+            if kind < 1 / 6:
+                p, n = 0, n or 1
+            elif kind < 1 / 3:
+                p, n = p or 1, 0
+            groups.append(GroupSupply(f"g{j}", p, n if p or n else 1))
+        lb, ub = rng.choice(WIDE_BOUNDS)
+        ref = rng.choice([None] + [g.group_key for g in groups])
+        k = rng.randint(1, sum(g.n for g in groups))
+        inst = SelectionInstance(tuple(groups), k, rng.choice(WIDE_CAPS), lb, ub, ref)
+        optimal += assert_matches_reference(inst).status == "optimal"
+    assert optimal > 100 and len(checked) == optimal
+
+
+ANALYZE_4G = tuple(
+    GroupSupply(key, p, 100 - p) for key, p in (("a0|b0", 50), ("a0|b1", 40), ("a1|b0", 30), ("a1|b1", 20))
+)
+
+
+def test_branch_and_bound_prunes_analyze_4g(monkeypatch):
+    # without the FPR floors, the PPV wedge cap and the box test the
+    # descent takes 20,874 steps here
+    monkeypatch.setattr(selection, "MAX_DESCENT_CALLS", 12_000)
+    (row,) = k_scan(ANALYZE_4G, k_grid=(15,)).rows
+    assert row.constrained_tp == 29 and not row.optimal
+
+
+def test_branch_and_bound_budget_raises(monkeypatch):
+    monkeypatch.setattr(selection, "MAX_DESCENT_CALLS", 100)
+    with pytest.raises(DomainError, match="--sample-n"):
+        solve_exact(SelectionInstance(ANALYZE_4G, k=60))
 
 
 def test_two_group_search_matches_reference_solver_large():
